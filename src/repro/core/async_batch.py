@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
-from repro.core.bo import BODriverBase, shutdown_pool
+from repro.core.bo import BODriverBase
 from repro.core.campaign import AsyncBatchStrategy
 from repro.core.results import RunResult
 
@@ -62,7 +62,7 @@ class AsynchronousBatchBO(BODriverBase):
         super().__init__(problem, **kwargs)
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.batch_size = int(batch_size)
+        self.batch_size = self.n_workers = int(batch_size)
         self.lam = float(lam)
         strategy = AsyncBatchStrategy(
             penalized=penalized, lam=self.lam, pending_policy=pending_policy
@@ -92,29 +92,6 @@ class AsynchronousBatchBO(BODriverBase):
         config.update(lam=self.lam, pending_policy=self.pending_policy)
         return config
 
-    def run(self) -> RunResult:
-        pool = self._make_pool(self.batch_size)
-        try:
-            self._begin_run(self.batch_size)
-            design = self._initial_design()
-            self._journal_doe(design)
-            self.campaign.begin(design)
-            return self._drive(pool)
-        finally:
-            shutdown_pool(pool)
-
-    def _resume_drive(self, pool, state) -> RunResult:
-        design = state.design
-        if design is None:
-            # Crashed before the DoE record was durable: redraw it (the RNG
-            # was restored to the pre-draw state, so it is the same design).
-            design = self._initial_design()
-            self._journal_doe(design)
-        self.campaign.restore(
-            design=design, issued=state.issued, pending=pool.pending_points()
-        )
-        return self._drive(pool)
-
     def _drive(self, pool) -> RunResult:
         """Alg. 1 as an ask/tell loop, resumable at any boundary.
 
@@ -128,13 +105,14 @@ class AsynchronousBatchBO(BODriverBase):
             """Keep every idle worker busy (initial design first, then BO)."""
             while not campaign.exhausted and pool.idle_count > 0:
                 if campaign.in_doe:
-                    self._submit(pool, campaign.ask())
+                    self._dispatch(pool, campaign.ask())
                 else:
-                    self._submit(
+                    self._dispatch(
                         pool,
                         campaign.ask(_propose=lambda: self._propose_async(pool)),
                     )
 
+        self._dispatch_asked(pool)
         refill()
         iteration = 0
         while not campaign.exhausted:

@@ -15,10 +15,8 @@ import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
 from repro.core.campaign import Campaign, SequentialStrategy
-from repro.core.doe import random_design
 from repro.core.faults import FailurePolicy
-from repro.core.journal import JOURNAL_VERSION, JournalWriter
-from repro.core.problem import STATUS_ORPHANED, Problem
+from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.obs import Observability
 from repro.sched.trace import EvalRecord
@@ -82,12 +80,14 @@ class BODriverBase:
     journal:
         Crash-safety sink: a path (a :class:`~repro.core.journal.JournalWriter`
         is opened on it) or any object with an ``append(record)`` method.
-        Every state transition of the run — start, initial design, issue,
-        completion, batch selection, checkpoint, end — is appended as one
-        fsync'd framed record, and :func:`repro.core.recovery.resume` can
-        replay the file to continue a crashed run on the exact trajectory
-        the uninterrupted run would have taken.  ``None`` (default)
-        disables journaling; it changes nothing about the trajectory.
+        The embedded campaign journals every state transition — start,
+        initial design, ask, tell, end — as one fsync'd framed record, and
+        the driver adds what only the pool knows (``dispatch`` and
+        ``checkpoint`` records, the trace fields of each ``tell``).
+        :func:`repro.core.recovery.resume` replays the file to continue a
+        crashed run on the trajectory the uninterrupted run would have
+        taken.  ``None`` (default) disables journaling; it changes nothing
+        about the trajectory.
     checkpoint_every:
         Emit an integrity ``checkpoint`` record every this-many completed
         evaluations (0 = never).  Checkpoints are cross-checks, not the
@@ -110,6 +110,8 @@ class BODriverBase:
 
     #: Subclasses set their display name (used in result rows).
     algorithm_name = "bo"
+    #: Size of the evaluation pool; the batch drivers use their batch size.
+    n_workers = 1
 
     def __init__(
         self,
@@ -169,10 +171,10 @@ class BODriverBase:
             refit_every=refit_every,
             obs=self.obs,
             algorithm=self.algorithm_name,
-            embedded=True,
         )
-        self._journal = None
-        self._owns_journal = False
+        # Tells, live and replayed, go through the driver's absorb hook so
+        # subclass side datasets stay aligned with the surrogate.
+        self.campaign.absorb_hook = self._absorb
         self._since_checkpoint = 0
         # Async drivers overwrite this with their pending-point policy name;
         # it rides along in the packaged RunResult (runs format v7).
@@ -183,18 +185,6 @@ class BODriverBase:
     def session(self):
         """The surrogate session (owned by the embedded campaign)."""
         return self.campaign.session
-
-    @property
-    def _reissue_counts(self) -> dict[bytes, int]:
-        return self.campaign.reissue_counts
-
-    @_reissue_counts.setter
-    def _reissue_counts(self, value) -> None:
-        self.campaign.reissue_counts = dict(value)
-
-    @property
-    def _last_absorb(self) -> tuple[str | None, float | None]:
-        return self.campaign.last_action
 
     # ------------------------------------------------------------- helpers
     def _make_pool(self, n_workers: int):
@@ -216,9 +206,6 @@ class BODriverBase:
             bind(self.obs)
         return pool
 
-    def _initial_design(self) -> np.ndarray:
-        return random_design(self.problem.bounds, self.n_init, self.rng)
-
     # ------------------------------------------------------------ journaling
     def _begin_observability(self, n_workers: int, *, resumed: bool = False) -> None:
         """Open the root ``run`` span (closed again by :meth:`_package`)."""
@@ -232,44 +219,15 @@ class BODriverBase:
             )
             self._run_span.__enter__()
 
-    def _begin_run(self, n_workers: int) -> None:
-        """Open the journal sink and write the ``run_start`` record."""
-        self._begin_observability(n_workers)
-        self.campaign.reissue_counts = {}
-        self.campaign._pending_failure_action = None
-        self._since_checkpoint = 0
-        spec = self.journal
-        if spec is None:
-            self._journal, self._owns_journal = None, False
-        elif hasattr(spec, "append"):
-            self._journal, self._owns_journal = spec, False
-        else:
-            self._journal, self._owns_journal = JournalWriter(spec), True
-        self._journal_event(
-            {
-                "type": "run_start",
-                "journal_version": JOURNAL_VERSION,
-                "algorithm": self.algorithm_name,
-                "problem": self.problem.name,
-                "n_workers": int(n_workers),
-                "config": self._resume_config(),
-                "rng_state": rng_state_to_dict(self.rng),
-            }
-        )
+    def _begin_run(self) -> None:
+        """Open the root span and attach the journal to the campaign."""
+        self._begin_observability(self.n_workers)
+        if self.journal is not None:
+            self.campaign._config = self._resume_config()
+            self.campaign.attach_journal(self.journal, n_workers=self.n_workers)
 
     def _journal_event(self, record: dict) -> None:
-        if self._journal is not None:
-            self._journal.append(record)
-
-    def _journal_doe(self, design: np.ndarray) -> None:
-        if self._journal is not None:
-            self._journal.append(
-                {
-                    "type": "doe",
-                    "design": [[float(v) for v in row] for row in np.asarray(design)],
-                    "rng_state": rng_state_to_dict(self.rng),
-                }
-            )
+        self.campaign._journal_event(record)
 
     def _resume_config(self) -> dict:
         """Constructor kwargs that reproduce this driver at resume time.
@@ -293,35 +251,46 @@ class BODriverBase:
             "failure_policy": dataclasses.asdict(self.failure_policy),
         }
 
-    def _submit(self, pool, x, *, batch: int | None = None, counts: bool = True) -> int:
-        """Submit one point and journal the issue (with post-proposal state).
+    def _dispatch(self, pool, x, *, batch: int | None = None) -> int:
+        """Hand one asked point to a worker and journal the dispatch.
 
-        The issue record carries the RNG state *after* every draw the
-        proposal consumed plus a surrogate hyperparameter snapshot, so replay
-        can continue from this exact boundary; ``counts=False`` marks budget-
-        neutral re-issues of orphaned points.
+        The ``dispatch`` record holds what only the pool knows — index,
+        worker, issue time, lease, batch — so resume can put in-flight
+        points back on their original slots.  Budget and RNG state live in
+        the campaign's ``ask`` record, written before this.
         """
         with self.obs.span("dispatch") as span:
             index = pool.submit(x, batch=batch)
             span.annotate(index=int(index))
         self.obs.inc("driver.submits")
-        if self._journal is not None:
+        if self.campaign.journaled:
             info = pool.task_info(index)
-            self._journal.append(
+            self._journal_event(
                 {
-                    "type": "issue",
+                    "type": "dispatch",
                     "index": int(index),
                     "worker": int(info["worker"]),
                     "x": [float(v) for v in np.asarray(x).ravel()],
                     "batch": None if batch is None else int(batch),
                     "issue_time": float(info["issue_time"]),
                     "lease": info["lease"],
-                    "counts_budget": bool(counts),
-                    "rng_state": rng_state_to_dict(self.rng),
-                    "surrogate": self.session.snapshot(),
                 }
             )
         return index
+
+    def _dispatch_asked(self, pool, *, batch: int | None = None) -> None:
+        """Dispatch every asked point that no worker holds.
+
+        Only a resumed run has any: the crash fell between an ``ask`` record
+        and the dispatch of its points.  Drivers call this first in
+        ``_drive``; on a fresh run it does nothing.
+        """
+        in_flight = [p.tobytes() for p in pool.pending_points()]
+        for x in list(self.campaign.pending):
+            if x.tobytes() in in_flight:
+                in_flight.remove(x.tobytes())
+            else:
+                self._dispatch(pool, x, batch=batch)
 
     def _wait(self, pool) -> Completion:
         """Block on ``pool.wait_next()`` under a ``wait`` span."""
@@ -333,61 +302,45 @@ class BODriverBase:
         self.obs.inc("driver.completions")
         return completion
 
-    def _consume(self, pool, completion: Completion) -> bool:
-        """Resolve one completion: reconcile orphans, absorb, journal.
+    def _consume(self, pool, completion: Completion) -> None:
+        """Tell the campaign one completion; re-dispatch a reissued orphan.
 
         Orphaned completions (a worker whose lease expired with the point
         still in flight) follow ``failure_policy.on_orphan``: re-issue the
         point budget-neutrally (up to ``max_reissues`` per point, then fall
         back to imputation), impute like any failure, or drop it.
         """
-        result = completion.result
-        if result.status == STATUS_ORPHANED:
-            if self.campaign.note_orphan(completion.x):
-                self._journal_complete(pool, completion, "reissued", None)
-                self._submit(pool, completion.x, batch=completion.batch, counts=False)
-                return False
-        added = self._absorb(completion)
-        action, value = self.campaign.last_action
-        self._journal_complete(pool, completion, action, value)
-        self._maybe_checkpoint(pool)
-        return added
-
-    def _journal_complete(self, pool, completion: Completion, action, value) -> None:
-        if self._journal is None:
-            return
-        record = EvalRecord(
-            index=completion.index,
-            worker=completion.worker,
-            x=np.asarray(completion.x, dtype=float),
-            fom=completion.result.fom,
-            issue_time=completion.issue_time,
-            finish_time=completion.finish_time,
-            feasible=completion.result.feasible,
-            batch=completion.batch,
-            status=completion.result.status,
-            error=completion.result.error,
-            attempts=completion.attempts,
-        )
-        self._journal.append(
-            {
-                "type": "complete",
-                "record": record.as_dict(),
-                "action": action,
-                "value": None if value is None else float(value),
-                "clock": float(pool.now),
-            }
-        )
+        trace = None
+        if self.campaign.journaled:
+            record = EvalRecord(
+                index=completion.index,
+                worker=completion.worker,
+                x=np.asarray(completion.x, dtype=float),
+                fom=completion.result.fom,
+                issue_time=completion.issue_time,
+                finish_time=completion.finish_time,
+                feasible=completion.result.feasible,
+                batch=completion.batch,
+                status=completion.result.status,
+                error=completion.result.error,
+                attempts=completion.attempts,
+            )
+            trace = {"record": record.as_dict(), "clock": float(pool.now)}
+        action = self.campaign.tell(completion.x, completion.result, _trace=trace)
+        if action == "reissued":
+            self._dispatch(pool, completion.x, batch=completion.batch)
+        else:
+            self._maybe_checkpoint(pool)
 
     def _maybe_checkpoint(self, pool) -> None:
-        if self._journal is None or not self.checkpoint_every:
+        if not self.campaign.journaled or not self.checkpoint_every:
             return
         self._since_checkpoint += 1
         if self._since_checkpoint < self.checkpoint_every:
             return
         self._since_checkpoint = 0
         y = self.session.y
-        self._journal.append(
+        self._journal_event(
             {
                 "type": "checkpoint",
                 "n_observations": int(len(y)),
@@ -398,7 +351,7 @@ class BODriverBase:
             }
         )
 
-    def _absorb(self, completion: Completion) -> bool:
+    def _absorb(self, x, result) -> bool:
         """Fold a finished evaluation into the surrogate dataset.
 
         Failed evaluations follow the failure policy: ``"impute"`` records a
@@ -408,11 +361,7 @@ class BODriverBase:
         posterior.  Returns True when an observation was added, so
         subclasses can keep side datasets aligned with the session.
         """
-        return self.campaign.absorb(completion.x, completion.result)
-
-    def _imputed_fom(self) -> float:
-        """Pessimistic stand-in FOM for a failed evaluation."""
-        return self.campaign.imputed_fom()
+        return self.campaign.absorb(x, result)
 
     def _propose(self, acquisition, model=None) -> np.ndarray:
         """Maximize an acquisition on the unit cube; return a physical point."""
@@ -454,17 +403,13 @@ class BODriverBase:
             pending_policy=self.pending_policy,
             surrogate=self.session.surrogate,
         )
-        self._journal_event(
+        self.campaign.finish(
             {
-                "type": "run_end",
                 "best_fom": best_fom,
                 "n_evaluations": len(trace),
                 "n_orphaned": trace.n_orphaned,
             }
         )
-        if self._owns_journal and self._journal is not None:
-            self._journal.close()
-            self._journal = None
         if self._run_span is not None:
             self._run_span.__exit__(None, None, None)
             self._run_span = None
@@ -489,15 +434,21 @@ class BODriverBase:
         registry.set_counter("driver.retries", trace.n_retries)
         registry.set_counter("driver.orphans", trace.n_orphaned)
         registry.set_counter(
-            "driver.reissues", sum(self._reissue_counts.values())
+            "driver.reissues", sum(self.campaign.reissue_counts.values())
         )
         return registry.as_dict()
 
-    def run(self) -> RunResult:  # pragma: no cover - interface
-        raise NotImplementedError
+    def run(self) -> RunResult:
+        pool = self._make_pool(self.n_workers)
+        try:
+            self._begin_run()
+            self.campaign.start()
+            return self._drive(pool)
+        finally:
+            shutdown_pool(pool)
 
-    def _resume_drive(self, pool, state) -> RunResult:  # pragma: no cover
-        """Continue a replayed run; implemented by each driver."""
+    def _drive(self, pool) -> RunResult:  # pragma: no cover - interface
+        """The driver's ask/dispatch/tell loop, resumable at any boundary."""
         raise NotImplementedError
 
 
@@ -546,29 +497,6 @@ class SequentialBO(BODriverBase):
         config.update(lam=self.lam, ucb_kappa=self.ucb_kappa, ei_xi=self.ei_xi)
         return config
 
-    def run(self) -> RunResult:
-        pool = self._make_pool(1)
-        try:
-            self._begin_run(1)
-            design = self._initial_design()
-            self._journal_doe(design)
-            self.campaign.begin(design)
-            return self._drive(pool)
-        finally:
-            shutdown_pool(pool)
-
-    def _resume_drive(self, pool, state) -> RunResult:
-        design = state.design
-        if design is None:
-            # Crashed before the DoE record was durable: redraw it (the RNG
-            # was restored to the pre-draw state, so it is the same design).
-            design = self._initial_design()
-            self._journal_doe(design)
-        self.campaign.restore(
-            design=design, issued=state.issued, pending=pool.pending_points()
-        )
-        return self._drive(pool)
-
     def _drive(self, pool) -> RunResult:
         """One-at-a-time ask/tell loop, resumable at any boundary.
 
@@ -576,11 +504,12 @@ class SequentialBO(BODriverBase):
         one worker the pool alternates strictly between busy (consume the
         completion) and idle (ask the campaign for the next point).
         """
+        self._dispatch_asked(pool)
         while True:
             if pool.busy_count:
                 self._consume(pool, self._wait(pool))
             elif self.campaign.exhausted:
                 break
             else:
-                self._submit(pool, self.campaign.ask())
+                self._dispatch(pool, self.campaign.ask())
         return self._package(pool)

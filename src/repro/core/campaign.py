@@ -22,10 +22,15 @@ framed socket RPC, each with its own crash-safe journal.
 
 Proposal logic lives in per-family strategy objects (:class:`SequentialStrategy`,
 :class:`AsyncBatchStrategy`, :class:`SyncBatchStrategy`) so the same pipeline
-backs both the embedded drivers and standalone campaigns.
+backs both the embedded drivers and standalone campaigns.  Crash safety is
+shared the same way: a driver's journal is its campaign's journal, and
+:meth:`Campaign.replay` is the one recovery fold behind both
+:func:`resume_campaign` and :func:`repro.core.recovery.resume`.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from scipy import stats
@@ -44,10 +49,11 @@ from repro.core.doe import random_design
 from repro.core.faults import FailurePolicy
 from repro.core.journal import JournalError, JournalWriter, recover_journal
 from repro.core.optimizers import maximize_acquisition
-from repro.core.pending import make_pending_policy
-from repro.core.problem import STATUS_ORPHANED, Problem
+from repro.core.pending import estimate_lipschitz, make_pending_policy
+from repro.core.problem import STATUS_ORPHANED, EvaluationResult, Problem
 from repro.core.surrogate import SurrogateSession
 from repro.obs import NULL_OBS
+from repro.sched.trace import EvalRecord
 from repro.utils.rng import as_generator, rng_state_to_dict, set_rng_state
 
 __all__ = [
@@ -55,12 +61,14 @@ __all__ = [
     "Campaign",
     "CampaignError",
     "CampaignExhausted",
+    "PoolLedger",
     "SequentialStrategy",
     "AsyncBatchStrategy",
     "SyncBatchStrategy",
     "make_campaign",
     "resume_campaign",
     "read_campaign_journal",
+    "check_campaign_journal",
 ]
 
 #: Version stamp embedded in every ``campaign_start`` record.  Bump when the
@@ -347,7 +355,7 @@ class SyncBatchStrategy:
         gradient norm of the posterior mean over a random probe set
         (Gonzalez et al. 2016, eq. 11 simplified).
         """
-        lipschitz = self._estimate_lipschitz(core, model)
+        lipschitz = estimate_lipschitz(model, core.session.dim, core.rng)
         best_std = core.standardized_best()
         ei = ExpectedImprovement(best_std)
         points: list[np.ndarray] = []
@@ -376,25 +384,26 @@ class SyncBatchStrategy:
             points.append(core.session.to_physical(u_best.reshape(1, -1))[0])
         return points
 
-    def _estimate_lipschitz(self, core, model, n_probes: int = 256) -> float:
-        """Max-norm finite-difference gradient of the posterior mean."""
-        d = core.session.dim
-        U = core.rng.uniform(size=(n_probes, d))
-        eps = 1e-4
-        mu0 = model.predict(U, return_std=False)
-        grad_sq = np.zeros(n_probes)
-        for j in range(d):
-            shifted = U.copy()
-            shifted[:, j] = np.minimum(shifted[:, j] + eps, 1.0)
-            mu1 = model.predict(shifted, return_std=False)
-            grad_sq += ((mu1 - mu0) / eps) ** 2
-        lipschitz = float(np.sqrt(grad_sq.max()))
-        return max(lipschitz, 1e-6)
-
 
 # --------------------------------------------------------------------------
 # The Campaign itself.
 # --------------------------------------------------------------------------
+@dataclasses.dataclass
+class PoolLedger:
+    """What a driver journal says about the evaluation pool.
+
+    Filled by :meth:`Campaign.replay` from the driver-only records
+    (``dispatch``, the trace fields of ``tell``, ``orphan``); empty for a
+    standalone campaign.  ``in_flight`` maps evaluation index to the
+    ``dispatch`` record of every point still running at the crash.
+    """
+
+    records: list = dataclasses.field(default_factory=list)
+    clock: float = 0.0
+    next_index: int = 0
+    in_flight: dict = dataclasses.field(default_factory=dict)
+
+
 class Campaign:
     """Ask/tell Bayesian-optimization state.
 
@@ -404,11 +413,17 @@ class Campaign:
     points get evaluated — a driver submits them to a pool, a server hands
     them to remote clients.
 
-    Parameters mirror the drivers'; ``journal`` attaches a standalone
-    write-ahead journal (path or object with ``append``) recording every
-    ask/tell so :func:`resume_campaign` can rebuild the exact state after a
-    crash.  Embedded driver campaigns leave it ``None`` — the driver's own
-    run journal is the durable record there.
+    Parameters mirror the drivers'; ``journal`` attaches a write-ahead
+    journal (path or object with ``append``) recording every ask/tell so
+    :meth:`replay` can rebuild the exact state after a crash.  The drivers
+    attach theirs through :meth:`attach_journal` and add the records only
+    the pool knows (``dispatch``, ``orphan``, ``checkpoint``).
+
+    ``absorb_hook`` is the callable ``(x, result) -> bool`` that :meth:`tell`
+    and :meth:`replay` use to fold a result into the dataset.  It defaults
+    to :meth:`absorb`; a driver points it at its own ``_absorb`` so subclass
+    side datasets (constraint slacks, evaluation costs) stay aligned with the
+    surrogate, live and on replay alike.
     """
 
     def __init__(
@@ -432,7 +447,6 @@ class Campaign:
         session: SurrogateSession | None = None,
         journal=None,
         algorithm: str = "campaign",
-        embedded: bool = False,
     ):
         if n_init < 2:
             raise ValueError("n_init must be >= 2 (the GP needs data)")
@@ -465,20 +479,19 @@ class Campaign:
         )
         self.design: np.ndarray | None = None
         self.issued = 0
+        self.n_asks = 0
         self.pending: list[np.ndarray] = []
         self.reissue_counts: dict[bytes, int] = {}
         self.last_action: tuple[str | None, float | None] = (None, None)
         self.finished = False
+        self.absorb_hook = self.absorb
         self._pending_failure_action: str | None = None
-        self._embedded = bool(embedded)
         self._config: dict = {}
+        self._header: dict = {}
         self._started = False
-        if journal is None:
-            self._journal, self._owns_journal = None, False
-        elif hasattr(journal, "append"):
-            self._journal, self._owns_journal = journal, False
-        else:
-            self._journal, self._owns_journal = JournalWriter(journal), True
+        self._journal, self._owns_journal = None, False
+        if journal is not None:
+            self.attach_journal(journal)
 
     # ----------------------------------------------------------- properties
     @property
@@ -504,6 +517,11 @@ class Campaign:
     def n_observations(self) -> int:
         return self.session.n_observations
 
+    @property
+    def journaled(self) -> bool:
+        """True when state transitions are being written to a journal."""
+        return self._journal is not None
+
     def best(self) -> tuple[np.ndarray, float] | None:
         """Best observation so far, or ``None`` before any data."""
         if self.session.n_observations == 0:
@@ -524,12 +542,26 @@ class Campaign:
         return np.vstack(self.pending)
 
     # ------------------------------------------------------------ lifecycle
+    def attach_journal(self, journal, **header) -> None:
+        """Write every later state transition to ``journal``.
+
+        ``journal`` is a path (a :class:`JournalWriter` is opened on it and
+        owned by the campaign) or any object with an ``append(record)``
+        method.  ``header`` fields ride along in the ``campaign_start``
+        record; the drivers put their pool size there.
+        """
+        if hasattr(journal, "append"):
+            self._journal, self._owns_journal = journal, False
+        else:
+            self._journal, self._owns_journal = JournalWriter(journal), True
+        self._header = dict(header)
+
     def begin(self, design: np.ndarray) -> None:
-        """Adopt an externally drawn initial design (embedded drivers)."""
+        """Adopt an externally drawn initial design."""
         self.design = np.asarray(design, dtype=float)
 
     def start(self) -> np.ndarray:
-        """Draw the initial design (idempotent); journals it when standalone."""
+        """Draw the initial design (idempotent) and journal it."""
         if self.design is None:
             self._journal_start()
             self.design = random_design(self.problem.bounds, self.n_init, self.rng)
@@ -542,20 +574,24 @@ class Campaign:
             )
         return self.design
 
-    def finish(self) -> None:
-        """Journal the campaign end and release the journal sink."""
+    def finish(self, summary: dict | None = None) -> None:
+        """Journal the campaign end and release the journal sink.
+
+        ``summary`` fields are merged into the ``campaign_end`` record (the
+        drivers report their trace-level best FOM and evaluation counts).
+        """
         if self.finished:
             return
         self.finished = True
         best = self.best()
-        self._journal_event(
-            {
-                "type": "campaign_end",
-                "issued": int(self.issued),
-                "n_observations": int(self.session.n_observations),
-                "best_fom": None if best is None else best[1],
-            }
-        )
+        event = {
+            "type": "campaign_end",
+            "issued": int(self.issued),
+            "n_observations": int(self.session.n_observations),
+            "best_fom": None if best is None else best[1],
+        }
+        event.update(summary or {})
+        self._journal_event(event)
         self.close()
 
     def close(self) -> None:
@@ -575,9 +611,8 @@ class Campaign:
         rides along in the journal event so the campaign server can rebuild
         its idempotent reply cache after a restart (a retried ``ask`` whose
         reply was lost replays the journaled points instead of issuing new
-        ones).  ``_propose`` lets the embedded drivers route proposals
-        through their overridable hook methods; it is not part of the
-        public surface.
+        ones).  ``_propose`` lets the drivers route proposals through their
+        overridable hook methods; it is not part of the public surface.
         """
         if self.exhausted:
             raise CampaignExhausted(
@@ -590,8 +625,8 @@ class Campaign:
         else:
             points = self._block(int(n), _propose)
         self._note_asked(points)
-        if not self._embedded:
-            self.obs.inc("campaign.asks")
+        self.obs.inc("campaign.asks")
+        if self._journal is not None:
             event = {
                 "type": "ask",
                 "points": [[float(v) for v in p] for p in points],
@@ -627,19 +662,18 @@ class Campaign:
         for p in points:
             self.pending.append(np.asarray(p, dtype=float).copy())
         self.issued += len(points)
+        self.n_asks += 1
 
-    def note_issued(self, x) -> None:
-        """Mark an externally selected point as issued (resume leftovers)."""
-        self._note_asked([x])
-
-    def tell(self, x, result, *, request_id: str | None = None) -> str:
+    def tell(self, x, result, *, request_id: str | None = None,
+             _trace: dict | None = None) -> str:
         """Fold one evaluation result back in; returns the action taken.
 
         ``"added"`` (observation recorded), ``"imputed"`` (failure recorded
         at a pessimistic FOM), ``"dropped"`` (budget spent, posterior
         unchanged), or ``"reissued"`` (orphaned point kept pending — the
         caller should evaluate it again; budget-neutral).  ``request_id``
-        is journaled with the event (see :meth:`ask`).
+        is journaled with the event (see :meth:`ask`), and so are the
+        drivers' ``_trace`` fields (the pool's evaluation record and clock).
 
         Raises :class:`CampaignError` when ``x`` is not in the pending set —
         a point that was never asked, or one already told back.  Silently
@@ -653,29 +687,27 @@ class Campaign:
                 f"not pending (never asked, or already told): {x.tolist()}"
             )
         if result.status == STATUS_ORPHANED and self.note_orphan(x):
+            self._requeue(x)
             action = "reissued"
         else:
-            self.absorb(x, result)
+            self.absorb_hook(x, result)
             action = self.last_action[0]
-        if not self._embedded:
-            self.obs.inc("campaign.tells")
-            self._journal_tell(x, result, action, request_id=request_id)
+        self.obs.inc("campaign.tells")
+        self._journal_tell(x, result, action, request_id=request_id, trace=_trace)
         return action
 
     def note_orphan(self, x) -> bool:
         """Apply the orphan policy to ``x``; True means "evaluate it again".
 
-        A reissued point moves to the end of the pending order, mirroring
-        the fresh pool index a driver's budget-neutral resubmission gets.
+        A True answer has already counted the reissue against
+        ``max_reissues``; a False one primes the next :meth:`absorb` with
+        the orphan's failure action.
         """
         policy = self.failure_policy
         key = np.asarray(x, dtype=float).tobytes()
         prior = self.reissue_counts.get(key, 0)
         if policy.on_orphan == "reissue" and prior < policy.max_reissues:
-            self.reissue_counts[key] = prior + 1
-            idx = self._find_pending(x)
-            if idx is not None:
-                self.pending.append(self.pending.pop(idx))
+            self._count_reissue(x)
             return True
         self._pending_failure_action = (
             "impute" if policy.on_orphan == "reissue" else policy.on_orphan
@@ -717,6 +749,16 @@ class Campaign:
         y = self.session.y
         span = float(y.max() - y.min())
         return float(y.min() - policy.impute_margin * max(span, 1.0))
+
+    def _requeue(self, x) -> None:
+        """Move a reissued point to the end of the pending order.
+
+        This mirrors the fresh pool index a driver's budget-neutral
+        resubmission gets.
+        """
+        idx = self._find_pending(x)
+        if idx is not None:
+            self.pending.append(self.pending.pop(idx))
 
     def _find_pending(self, x) -> int | None:
         key = np.asarray(x, dtype=float).tobytes()
@@ -805,10 +847,11 @@ class Campaign:
                 "problem": self.problem.name,
                 "config": dict(self._config),
                 "rng_state": rng_state_to_dict(self.rng),
+                **self._header,
             }
         )
 
-    def _journal_tell(self, x, result, action, *, request_id=None) -> None:
+    def _journal_tell(self, x, result, action, *, request_id=None, trace=None) -> None:
         if self._journal is None:
             return
         from repro.distributed.protocol import result_to_dict
@@ -824,18 +867,99 @@ class Campaign:
         }
         if request_id is not None:
             event["request_id"] = str(request_id)
+        event.update(trace or {})
         self._journal_event(event)
 
-    # --------------------------------------------------------------- resume
-    def restore(self, *, design=None, issued=0, pending=(), reissue_counts=None):
-        """Overwrite the position bookkeeping (driver resume path)."""
-        if design is not None:
-            self.design = np.asarray(design, dtype=float)
-        self.issued = int(issued)
-        self.pending = [np.asarray(p, dtype=float).copy() for p in pending]
-        if reissue_counts is not None:
-            self.reissue_counts = dict(reissue_counts)
-        return self
+    # --------------------------------------------------------------- replay
+    def replay(self, events) -> PoolLedger:
+        """Fold journal ``events`` into this fresh campaign.
+
+        This is the one recovery path, for standalone campaigns and drivers
+        alike.  Asked points re-enter the pending set in their original
+        order.  Told results re-enter the dataset through
+        :attr:`absorb_hook` with their journaled failure action, so imputed
+        values and subclass side datasets come out as they were.  The
+        hyperparameter snapshot and the bit-exact RNG state are restored
+        from the last durable record.  ``checkpoint`` records are
+        cross-checked against the rebuilt dataset, and a ``campaign_end``
+        sets :attr:`finished`.  The driver-only records fill the returned
+        :class:`PoolLedger`.
+        """
+        ledger = PoolLedger()
+        snapshot = None
+        rng_state = None
+        for event in events:
+            kind = event.get("type")
+            rng_state = event.get("rng_state", rng_state)
+            if kind == "campaign_start":
+                self._started = True
+            elif kind == "doe":
+                self.design = np.asarray(event["design"], dtype=float)
+            elif kind == "ask":
+                self._note_asked([np.asarray(p, dtype=float) for p in event["points"]])
+                if event.get("surrogate") is not None:
+                    snapshot = event["surrogate"]
+            elif kind == "dispatch":
+                index = int(event["index"])
+                ledger.in_flight[index] = event
+                ledger.next_index = max(ledger.next_index, index + 1)
+                ledger.clock = max(ledger.clock, float(event["issue_time"]))
+            elif kind == "orphan" and event.get("disposition") == "reissue":
+                # A resume re-ran this point at its original slot: it stays
+                # in flight, only the spent attempt counts.
+                dispatch = ledger.in_flight.get(int(event["index"]))
+                if dispatch is not None:
+                    self._count_reissue(dispatch["x"])
+            elif kind in ("tell", "orphan"):
+                self._replay_told(event, ledger)
+            elif kind == "checkpoint":
+                expected = int(event.get("n_observations", -1))
+                if expected >= 0 and expected != self.session.n_observations:
+                    raise JournalError(
+                        f"checkpoint expects {expected} observations but replay "
+                        f"reconstructed {self.session.n_observations}"
+                    )
+            elif kind == "campaign_end":
+                self.finished = True
+        self.session.restore_snapshot(snapshot)
+        if rng_state is not None:
+            set_rng_state(self.rng, rng_state)
+        return ledger
+
+    def _replay_told(self, event: dict, ledger: PoolLedger) -> None:
+        """Replay a ``tell``, or an ``orphan`` imputed/dropped at a resume."""
+        from repro.distributed.protocol import result_from_dict
+
+        record = event.get("record")
+        if record is not None:
+            record = EvalRecord.from_dict(record)
+            ledger.in_flight.pop(record.index, None)
+            ledger.records.append(record)
+            clock = float(event.get("clock", record.finish_time))
+            ledger.clock = max(ledger.clock, clock)
+        if event["type"] == "orphan":
+            x = np.asarray(record.x, dtype=float)
+            result = EvaluationResult.failed(
+                record.error or "orphaned", status=STATUS_ORPHANED
+            )
+            action = {"impute": "imputed", "drop": "dropped"}[event["disposition"]]
+        else:
+            x = np.asarray(event["x"], dtype=float)
+            result = result_from_dict(event["result"])
+            action = event["action"]
+        if action == "reissued":
+            self._count_reissue(x)
+            self._requeue(x)
+            return
+        # Replay the journaled failure action rather than re-deciding it.
+        self._pending_failure_action = {
+            "imputed": "impute", "dropped": "drop"
+        }.get(action)
+        self.absorb_hook(x, result)
+
+    def _count_reissue(self, x) -> None:
+        key = np.asarray(x, dtype=float).tobytes()
+        self.reissue_counts[key] = self.reissue_counts.get(key, 0) + 1
 
 
 # --------------------------------------------------------------------------
@@ -982,13 +1106,13 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
     return campaign
 
 
-def read_campaign_journal(path) -> list[dict]:
-    """Recover a campaign journal, validating its format version.
+def check_campaign_journal(events: list[dict], path) -> list[dict]:
+    """Validate the ``campaign_start`` header of recovered journal events.
 
-    Raises :class:`JournalError` when the file was written by a newer
-    campaign format than this code can read, instead of misparsing it.
+    Raises :class:`JournalError` when there is no header, or when the file
+    was written by a newer campaign format than this code can read, instead
+    of misparsing it.
     """
-    events = recover_journal(path)
     if not events or events[0].get("type") != "campaign_start":
         raise JournalError(
             f"{path} has no usable campaign_start record; nothing to resume"
@@ -1002,78 +1126,41 @@ def read_campaign_journal(path) -> list[dict]:
     return events
 
 
+def read_campaign_journal(path) -> list[dict]:
+    """Recover a campaign journal (torn tail truncated) and check its header."""
+    return check_campaign_journal(recover_journal(path), path)
+
+
 def resume_campaign(journal_path, *, problem: Problem | None = None) -> Campaign:
     """Rebuild a campaign to its exact pre-crash state from its journal.
 
-    Replays every ask/tell into a fresh campaign: told observations re-enter
-    the surrogate in their original order (including imputed values), the
-    hyperparameter snapshot and the bit-exact RNG state are restored from
-    the last durable record, and asked-but-untold points come back as
-    pending — the caller should evaluate and ``tell`` them (or let the
-    orphan policy handle them).  Subsequent ``ask()`` calls produce the
-    points the uninterrupted campaign would have produced.
+    :meth:`Campaign.replay` folds every ask/tell into a fresh campaign;
+    asked-but-untold points come back as pending — the caller should
+    evaluate and ``tell`` them (or let the orphan policy handle them).
+    Subsequent ``ask()`` calls produce the points the uninterrupted
+    campaign would have produced.  Driver journals (their header carries
+    ``n_workers``) resume through :func:`repro.core.recovery.resume`.
     """
-    from repro.core.problem import EvaluationResult  # noqa: F401  (doc pointer)
-    from repro.distributed.protocol import result_from_dict
-
     events = read_campaign_journal(journal_path)
     start = events[0]
+    if "n_workers" in start:
+        raise JournalError(
+            f"{journal_path} was written by an optimizer driver; "
+            "resume it with repro.resume()"
+        )
     if problem is None:
         from repro.core.recovery import resolve_problem
 
         problem = resolve_problem(start.get("problem", ""))
-    config = dict(start.get("config", {}))
     campaign = make_campaign(
-        start["algorithm"], problem, journal=journal_path, **config
+        start["algorithm"], problem, **dict(start.get("config", {}))
     )
-    campaign._started = True  # the start record is already durable
-    set_rng_state(campaign.rng, start["rng_state"])
-
-    snapshot = None
-    rng_state = start.get("rng_state")
-    finished = False
-    for event in events[1:]:
-        kind = event.get("type")
-        if kind == "doe":
-            campaign.design = np.asarray(event["design"], dtype=float)
-            rng_state = event.get("rng_state", rng_state)
-        elif kind == "ask":
-            points = [np.asarray(p, dtype=float) for p in event["points"]]
-            campaign._note_asked(points)
-            rng_state = event.get("rng_state", rng_state)
-            if event.get("surrogate") is not None:
-                snapshot = event["surrogate"]
-        elif kind == "tell":
-            x = np.asarray(event["x"], dtype=float)
-            action = event.get("action")
-            if action == "reissued":
-                key = x.tobytes()
-                campaign.reissue_counts[key] = (
-                    campaign.reissue_counts.get(key, 0) + 1
-                )
-                idx = campaign._find_pending(x)
-                if idx is not None:
-                    campaign.pending.append(campaign.pending.pop(idx))
-                continue
-            idx = campaign._find_pending(x)
-            if idx is not None:
-                del campaign.pending[idx]
-            if action == "added":
-                result = result_from_dict(event["result"])
-                campaign.session.add(x, result.fom)
-            elif action == "imputed":
-                campaign.session.add(x, float(event["value"]))
-        elif kind == "campaign_resume":
-            continue
-        elif kind == "campaign_end":
-            finished = True
-    if finished:
+    campaign.replay(events)
+    if campaign.finished:
         raise RuntimeError(
             f"the campaign in {journal_path} already finished; nothing to resume"
         )
-    campaign.session.restore_snapshot(snapshot)
-    if rng_state is not None:
-        set_rng_state(campaign.rng, rng_state)
+    campaign.attach_journal(journal_path)
     campaign._journal_event(
         {"type": "campaign_resume", "n_pending": campaign.n_pending}
     )

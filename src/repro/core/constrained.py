@@ -115,6 +115,7 @@ class ConstrainedEasyBO(AsynchronousBatchBO):
         self.algorithm_name = (
             base if self.batch_size == 1 else f"{base}-{self.batch_size}"
         )
+        self.campaign.algorithm = self.algorithm_name
         self._constraint_models = [
             _ConstraintModel(self.session.dim, self.rng)
             for _ in problem.constraint_specs
@@ -122,12 +123,12 @@ class ConstrainedEasyBO(AsynchronousBatchBO):
         self._slacks: list[np.ndarray] = []
 
     # -------------------------------------------------------------- dataset
-    def _absorb(self, completion) -> bool:
-        added = super()._absorb(completion)
+    def _absorb(self, x, result) -> bool:
+        added = super()._absorb(x, result)
         if not added:
             return False
-        if completion.result.ok:
-            slack = self.problem.constraint_vector(completion.result)
+        if result.ok:
+            slack = self.problem.constraint_vector(result)
         else:
             # Imputed failure: no metrics to read slacks from.  Treat the
             # point as maximally infeasible so the feasibility model also

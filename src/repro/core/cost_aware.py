@@ -46,19 +46,25 @@ class CostAwareEasyBO(AsynchronousBatchBO):
         self.algorithm_name = (
             base if self.batch_size == 1 else f"{base}-{self.batch_size}"
         )
+        self.campaign.algorithm = self.algorithm_name
         self._cost_model: GaussianProcess | None = None
         self._cost_output = OutputStandardizer()
         self._cost_bounds = HyperparameterBounds(self.session.dim)
         self._log_costs: list[float] = []
 
     # -------------------------------------------------------------- dataset
-    def _absorb(self, completion) -> bool:
-        added = super()._absorb(completion)
+    def _absorb(self, x, result) -> bool:
+        added = super()._absorb(x, result)
         if added:
             # Failed evaluations still report the (possibly truncated) time
             # they occupied the worker, which is exactly the cost to model.
-            self._log_costs.append(float(np.log(max(completion.result.cost, 1e-9))))
+            self._log_costs.append(float(np.log(max(result.cost, 1e-9))))
         return added
+
+    def _resume_config(self) -> dict:
+        config = super()._resume_config()
+        config.update(cost_exponent=self.cost_exponent)
+        return config
 
     def _fit_cost_model(self) -> None:
         U = self.session.transform.to_unit(self.session.X)

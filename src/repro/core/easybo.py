@@ -130,6 +130,7 @@ ALGORITHM_FAMILIES = {
         problem, batch_size=b, strategy="mace", **kw
     ),
     "ceasybo": lambda problem, b, **kw: _make_constrained(problem, b, **kw),
+    "caeasybo": lambda problem, b, **kw: _make_cost_aware(problem, b, **kw),
     "gp-hedge": lambda problem, b, **kw: _make_portfolio(problem, **kw),
     "easybo-s": lambda problem, b, **kw: SynchronousBatchBO(
         problem, batch_size=b, strategy="easybo-s", **kw
@@ -173,6 +174,12 @@ def _make_constrained(problem, batch_size, **kw):
     from repro.core.constrained import ConstrainedEasyBO
 
     return ConstrainedEasyBO(problem, batch_size=batch_size, **kw)
+
+
+def _make_cost_aware(problem, batch_size, **kw):
+    from repro.core.cost_aware import CostAwareEasyBO
+
+    return CostAwareEasyBO(problem, batch_size=batch_size, **kw)
 
 
 def _make_portfolio(problem, **kw):

@@ -1,8 +1,8 @@
 """Crash-safe write-ahead journal for optimization runs.
 
-Every state transition of a Bayesian-optimization run (initial design, point
-issue, completion, batch selection, checkpoint) is appended to a journal file
-as one framed JSONL record.  The framing makes the log self-validating::
+Every state transition of a Bayesian-optimization run (initial design, ask,
+dispatch, tell, checkpoint) is appended to a journal file as one framed JSONL
+record.  The framing makes the log self-validating::
 
     J1 <length:8 hex> <crc32:8 hex> <compact JSON payload>\\n
 
@@ -36,8 +36,10 @@ __all__ = [
     "frame_error",
 ]
 
-#: Version stamp embedded in every ``run_start`` record.  Bump when the event
-#: schema changes incompatibly.
+#: Version stamp of the older run-journal vocabulary, carried by its
+#: ``run_start`` record; :func:`repro.core.recovery.resume` still reads such
+#: journals and refuses a newer stamp.  Campaign-vocabulary journals carry
+#: ``CAMPAIGN_JOURNAL_VERSION`` instead.
 JOURNAL_VERSION = 1
 
 _MAGIC = "J1"

@@ -37,8 +37,28 @@ __all__ = [
     "StandardPolicy",
     "LocalPenalisationPolicy",
     "PessimisticPolicy",
+    "estimate_lipschitz",
     "make_pending_policy",
 ]
+
+
+def estimate_lipschitz(model, dim, rng, n_probes: int = 256) -> float:
+    """Max-norm finite-difference gradient of the posterior mean.
+
+    Probes ``n_probes`` uniform points of the unit cube (drawn from ``rng``)
+    with forward differences.  Shared by the asynchronous LP policy and the
+    synchronous ``"lp"`` batch strategy.
+    """
+    U = rng.uniform(size=(int(n_probes), int(dim)))
+    eps = 1e-4
+    mu0 = model.predict(U, return_std=False)
+    grad_sq = np.zeros(len(U))
+    for j in range(int(dim)):
+        shifted = U.copy()
+        shifted[:, j] = np.minimum(shifted[:, j] + eps, 1.0)
+        mu1 = model.predict(shifted, return_std=False)
+        grad_sq += ((mu1 - mu0) / eps) ** 2
+    return max(float(np.sqrt(grad_sq.max())), 1e-6)
 
 
 class PendingPolicy:
@@ -147,27 +167,13 @@ class LocalPenalisationPolicy(PendingPolicy):
         )
         return np.clip(stats.norm.cdf(z), 1e-300, 1.0)
 
-    @staticmethod
-    def estimate_lipschitz(model, dim, rng, n_probes: int = 256) -> float:
-        """Max-norm finite-difference gradient of the posterior mean."""
-        U = rng.uniform(size=(int(n_probes), int(dim)))
-        eps = 1e-4
-        mu0 = model.predict(U, return_std=False)
-        grad_sq = np.zeros(len(U))
-        for j in range(int(dim)):
-            shifted = U.copy()
-            shifted[:, j] = np.minimum(shifted[:, j] + eps, 1.0)
-            mu1 = model.predict(shifted, return_std=False)
-            grad_sq += ((mu1 - mu0) / eps) ** 2
-        return max(float(np.sqrt(grad_sq.max())), 1e-6)
-
     def wrap(self, session, model, acquisition, X_pending, *, rng=None):
         X_pending = np.asarray(X_pending, dtype=float)
         if X_pending.size == 0:
             return acquisition
         rng = rng if rng is not None else np.random.default_rng(0)
         U_pending = session.transform.to_unit(X_pending)
-        lipschitz = self.estimate_lipschitz(
+        lipschitz = estimate_lipschitz(
             model, session.dim, rng, n_probes=self.n_probes
         )
         best = float(session.output.transform(np.array([session.best_y]))[0])

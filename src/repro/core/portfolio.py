@@ -69,10 +69,14 @@ class PortfolioBO(BODriverBase):
         finally:
             shutdown_pool(pool)
 
+    def _evaluate(self, pool, x) -> None:
+        pool.submit(x)
+        completion = pool.wait_next()
+        self._absorb(completion.x, completion.result)
+
     def _drive(self, pool) -> RunResult:
-        for x in self._initial_design():
-            pool.submit(x)
-            self._absorb(pool.wait_next())
+        for x in self.campaign.start():
+            self._evaluate(pool, x)
         evaluations = self.n_init
         while evaluations < self.max_evals:
             if self.session.n_observations < 2:
@@ -80,8 +84,7 @@ class PortfolioBO(BODriverBase):
                 # (no Hedge update — no nominees were scored).
                 from repro.core.doe import random_design
 
-                pool.submit(random_design(self.problem.bounds, 1, self.rng)[0])
-                self._absorb(pool.wait_next())
+                self._evaluate(pool, random_design(self.problem.bounds, 1, self.rng)[0])
                 evaluations += 1
                 continue
             model = self.session.refit()
@@ -89,8 +92,7 @@ class PortfolioBO(BODriverBase):
             probs = self._probabilities()
             choice = int(self.rng.choice(len(nominees), p=probs))
             self.plays[self.member_names[choice]] += 1
-            pool.submit(nominees[choice])
-            self._absorb(pool.wait_next())
+            self._evaluate(pool, nominees[choice])
             evaluations += 1
             # Hedge update: reward every member by the *current* posterior
             # mean at its nominee (Hoffman et al., eq. 2).

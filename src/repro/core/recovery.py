@@ -1,13 +1,20 @@
-"""Checkpoint/resume: replay a run journal and continue the run.
+"""Checkpoint/resume: replay a driver journal and continue the run.
 
 :func:`resume` is the recovery entry point.  It reads the longest valid
 prefix of a :mod:`repro.core.journal` file (truncating any torn tail),
-rebuilds the optimizer from the ``run_start`` record, replays every event to
-reconstruct the exact state at the crash boundary — the GP training set, the
-surrogate hyperparameters and refit schedule, the execution trace, the
-simulated clock, and the bit-exact ``np.random.Generator`` state — reconciles
-any points that were in flight when the process died, and hands control back
-to the driver's resumable loop.
+rebuilds the driver from the ``campaign_start`` record, and lets
+:meth:`Campaign.replay` — the same fold :func:`resume_campaign` uses —
+reconstruct the exact state at the crash boundary: the GP training set (and
+every subclass side dataset, through the driver's absorb hook), the
+surrogate hyperparameters and refit schedule, and the bit-exact
+``np.random.Generator`` state.  What is left is the pool: resume restores
+its trace, clock and next index, reconciles the points that were in flight
+when the process died, and re-enters the driver's resumable loop.
+
+Journals written in the older run-journal vocabulary (``run_start`` /
+``issue`` / ``batch`` / ``complete`` / ``resume`` / ``run_end``) are
+translated into campaign records when read, so they resume through the
+same fold.
 
 Resume-equivalence guarantee
 ----------------------------
@@ -19,34 +26,32 @@ worker, and issue time, and every RNG draw after the crash boundary comes
 from the restored generator state.  In ``"incremental"`` mode the rebuilt
 Cholesky factor can differ from the crashed run's incrementally-updated one
 by round-off, so equivalence holds to the same tolerance the incremental
-mode's own equivalence harness grants.  With ``on_orphan="impute"``/"drop"``
+mode's own equivalence harness grants.  With ``on_orphan="impute"``/``"drop"``
 (the right choice when evaluations are non-deterministic or expensive) the
 resumed run deliberately diverges at the orphaned points but remains a valid
 continuation: no budget is lost and ``wait_next`` can never wedge on a dead
-worker.
+worker.  Drivers whose side models warm-start between proposals (the
+constrained and cost-aware EasyBO variants, whose constraint / cost GPs draw
+their ML-II restarts from the run RNG) resume to a valid but not bit-exact
+continuation: their side datasets are rebuilt exactly, their warm starts are
+not.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import numpy as np
 
-from repro.core.bo import shutdown_pool
+from repro.core.bo import BODriverBase, shutdown_pool
+from repro.core.campaign import CAMPAIGN_JOURNAL_VERSION, check_campaign_journal
 from repro.core.faults import FailurePolicy
-from repro.core.journal import (
-    JOURNAL_VERSION,
-    JournalError,
-    JournalWriter,
-    recover_journal,
-)
-from repro.core.problem import STATUS_ORPHANED
+from repro.core.journal import JOURNAL_VERSION, JournalError, recover_journal
+from repro.core.problem import STATUS_ORPHANED, EvaluationResult
 from repro.core.results import RunResult
 from repro.sched.trace import EvalRecord
-from repro.utils.rng import set_rng_state
 
-__all__ = ["resume", "replay_events", "ReplayState", "resolve_problem"]
+__all__ = ["resume", "resolve_problem"]
 
 _DIM_SUFFIX = re.compile(r"^([a-zA-Z]+?)(\d+)$")
 
@@ -95,134 +100,110 @@ def resolve_problem(name: str):
     )
 
 
-@dataclasses.dataclass
-class ReplayState:
-    """Optimizer state reconstructed by :func:`replay_events`."""
+def _from_run_journal(events: list[dict]) -> list[dict]:
+    """Translate a run journal of the older vocabulary into campaign records.
 
-    n_workers: int = 1
-    design: np.ndarray | None = None
-    issued: int = 0
-    pending: dict = dataclasses.field(default_factory=dict)
-    records: list = dataclasses.field(default_factory=list)
-    clock: float = 0.0
-    next_index: int = 0
-    snapshot: dict | None = None
-    rng_state: dict | None = None
-    batch_counts: dict = dataclasses.field(default_factory=dict)
-    last_issue_batch: int | None = None
-    last_batch: tuple | None = None
-    reissue_counts: dict = dataclasses.field(default_factory=dict)
-    finished: bool = False
-
-
-def replay_events(events: list[dict], session) -> ReplayState:
-    """Fold journal events into a :class:`ReplayState`, feeding ``session``.
-
-    Observations are replayed into the surrogate session exactly as the
-    original ``_absorb`` calls recorded them (including imputed values), so
-    the caller can afterwards restore the hyperparameter snapshot and refit.
+    ``issue`` becomes ``ask`` + ``dispatch`` (dispatch only for a budget-
+    neutral reissue or a member of an already-asked batch), a synchronous
+    ``batch`` becomes one ``ask``, and ``complete`` becomes ``tell``.  A
+    synchronous initial-design batch was never journaled as a whole, so its
+    first ``issue`` asks for the design rows the batch spans, as
+    ``campaign.ask(n)`` does.  ``doe``, ``checkpoint`` and ``orphan`` read
+    the same in both vocabularies.
     """
-    state = ReplayState()
-    for event in events:
+    start = events[0]
+    version = start.get("journal_version")
+    if isinstance(version, int) and version > JOURNAL_VERSION:
+        raise JournalError(
+            f"run journal format v{version} is newer than supported "
+            f"v{JOURNAL_VERSION}; upgrade this installation to resume it"
+        )
+    n_workers = int(start.get("n_workers", 1))
+    n_init = int(start.get("config", {}).get("n_init", 0))
+    out = [
+        {
+            "type": "campaign_start",
+            "campaign_version": CAMPAIGN_JOURNAL_VERSION,
+            "algorithm": start["algorithm"],
+            "problem": start.get("problem", ""),
+            "config": start.get("config", {}),
+            "rng_state": start["rng_state"],
+            "n_workers": n_workers,
+        }
+    ]
+    design: list = []
+    issued = 0
+    asked_batches: set = set()
+    for event in events[1:]:
         kind = event.get("type")
-        if kind == "run_start":
-            state.n_workers = int(event.get("n_workers", 1))
-            state.rng_state = event.get("rng_state")
-        elif kind == "doe":
-            state.design = np.asarray(event["design"], dtype=float)
-            state.rng_state = event.get("rng_state", state.rng_state)
-        elif kind == "issue":
-            index = int(event["index"])
-            state.pending[index] = event
-            state.next_index = max(state.next_index, index + 1)
-            counts = bool(event.get("counts_budget", True))
-            if counts:
-                state.issued += 1
+        if kind == "issue":
             batch = event.get("batch")
-            if batch is not None:
-                if counts:
-                    state.batch_counts[batch] = state.batch_counts.get(batch, 0) + 1
-                state.last_issue_batch = int(batch)
-            state.clock = max(state.clock, float(event.get("issue_time", 0.0)))
-            state.rng_state = event.get("rng_state", state.rng_state)
-            if event.get("surrogate") is not None:
-                state.snapshot = event["surrogate"]
+            if event.get("counts_budget", True) and batch not in asked_batches:
+                if batch is None:
+                    points = [event["x"]]
+                else:  # the first issue of a synchronous initial-design batch
+                    asked_batches.add(batch)
+                    points = design[issued:min(issued + n_workers, n_init)]
+                issued += len(points)
+                out.append(
+                    {"type": "ask", "points": points,
+                     "rng_state": event.get("rng_state"),
+                     "surrogate": event.get("surrogate")}
+                )
+            out.append(
+                {"type": "dispatch",
+                 **{k: event.get(k) for k in
+                    ("index", "worker", "x", "batch", "issue_time", "lease")}}
+            )
         elif kind == "batch":
-            state.last_batch = (int(event["batch"]), list(event["points"]))
-            state.rng_state = event.get("rng_state", state.rng_state)
-            if event.get("surrogate") is not None:
-                state.snapshot = event["surrogate"]
+            asked_batches.add(event["batch"])
+            issued += len(event["points"])
+            out.append(
+                {"type": "ask", "points": event["points"],
+                 "rng_state": event.get("rng_state"),
+                 "surrogate": event.get("surrogate")}
+            )
         elif kind == "complete":
-            record = EvalRecord.from_dict(event["record"])
-            state.pending.pop(record.index, None)
-            state.records.append(record)
-            state.clock = max(state.clock, float(event.get("clock", record.finish_time)))
-            action = event.get("action")
-            if action == "added":
-                session.add(record.x, record.fom)
-            elif action == "imputed":
-                session.add(record.x, float(event["value"]))
-            elif action == "reissued":
-                key = np.asarray(record.x, dtype=float).tobytes()
-                state.reissue_counts[key] = state.reissue_counts.get(key, 0) + 1
-        elif kind == "orphan":
-            index = int(event["index"])
-            disposition = event.get("disposition")
-            if disposition == "reissue":
-                issue = state.pending.get(index)
-                if issue is not None:
-                    key = np.asarray(issue["x"], dtype=float).tobytes()
-                    state.reissue_counts[key] = state.reissue_counts.get(key, 0) + 1
-                continue  # stays pending; reconciled again by this resume
-            state.pending.pop(index, None)
-            if event.get("record") is not None:
-                record = EvalRecord.from_dict(event["record"])
-                state.records.append(record)
-                state.clock = max(state.clock, record.finish_time)
-            if event.get("value") is not None:
-                session.add(
-                    np.asarray(event["record"]["x"], dtype=float),
-                    float(event["value"]),
-                )
-        elif kind == "checkpoint":
-            expected = int(event.get("n_observations", -1))
-            if expected >= 0 and expected != session.n_observations:
-                raise JournalError(
-                    f"checkpoint expects {expected} observations but replay "
-                    f"reconstructed {session.n_observations}"
-                )
-            state.rng_state = event.get("rng_state", state.rng_state)
+            record = event["record"]
+            result = {
+                "fom": record["fom"],
+                "cost": max(record["finish_time"] - record["issue_time"], 0.0),
+                "feasible": record.get("feasible", True),
+                "status": record.get("status", "ok"),
+                "error": record.get("error"),
+            }
+            out.append(
+                {"type": "tell", "x": record["x"], "result": result,
+                 "action": event.get("action"), "value": event.get("value"),
+                 "record": record,
+                 "clock": event.get("clock", record["finish_time"])}
+            )
         elif kind == "resume":
-            continue
+            out.append({**event, "type": "campaign_resume"})
         elif kind == "run_end":
-            state.finished = True
-    return state
+            out.append({**event, "type": "campaign_end"})
+        else:
+            if kind == "doe":
+                design = event["design"]
+            out.append(event)
+    return out
 
 
-def _reconcile_orphans(driver, pool, state: ReplayState) -> None:
+def _reconcile_orphans(driver, pool, ledger) -> None:
     """Classify every point that was in flight at the crash.
 
     ``on_orphan="reissue"`` re-evaluates the point at its original index /
     worker / issue time (budget-neutral; deterministic problems land exactly
     on the uninterrupted trajectory).  ``"impute"`` records a pessimistic
     observation, ``"drop"`` just counts the orphan; both spend the already-
-    issued budget slot so a dead worker never wedges the run.
+    asked budget slot so a dead worker never wedges the run.
     """
-    policy = driver.failure_policy
-    for index in sorted(state.pending):
-        issue = state.pending[index]
-        x = np.asarray(issue["x"], dtype=float)
-        key = x.tobytes()
-        disposition = policy.on_orphan
-        if (
-            disposition == "reissue"
-            and driver._reissue_counts.get(key, 0) >= policy.max_reissues
-        ):
-            disposition = "impute"
-        if disposition == "impute" and driver.session.n_observations == 0:
-            disposition = "drop"  # nothing to derive a pessimistic value from
-        if disposition == "reissue":
-            driver._reissue_counts[key] = driver._reissue_counts.get(key, 0) + 1
+    campaign = driver.campaign
+    for index in sorted(ledger.in_flight):
+        dispatch = ledger.in_flight[index]
+        x = np.asarray(dispatch["x"], dtype=float)
+        issue_time = float(dispatch["issue_time"])
+        if campaign.note_orphan(x):
             # Journal the reissue BEFORE attempting it: if the re-evaluation
             # kills the process too, the next resume must see the spent
             # attempt, or a poisoned point would be reissued forever instead
@@ -232,34 +213,32 @@ def _reconcile_orphans(driver, pool, state: ReplayState) -> None:
             )
             pool.restore_task(
                 index,
-                int(issue["worker"]),
+                int(dispatch["worker"]),
                 x,
-                batch=issue.get("batch"),
-                issue_time=float(issue["issue_time"]),
+                batch=dispatch.get("batch"),
+                issue_time=issue_time,
             )
             continue
         record = EvalRecord(
             index=index,
-            worker=int(issue["worker"]),
+            worker=int(dispatch["worker"]),
             x=x,
             fom=float("nan"),
-            issue_time=float(issue["issue_time"]),
-            finish_time=max(state.clock, float(issue["issue_time"])),
+            issue_time=issue_time,
+            finish_time=max(ledger.clock, issue_time),
             feasible=False,
-            batch=issue.get("batch"),
+            batch=dispatch.get("batch"),
             status=STATUS_ORPHANED,
             error="in flight at crash; reconciled at resume",
         )
         pool.trace.add(record)
-        value = None
-        if disposition == "impute":
-            value = driver._imputed_fom()
-            driver.session.add(x, value)
+        driver._absorb(x, EvaluationResult.failed(record.error, status=STATUS_ORPHANED))
+        action, value = campaign.last_action
         driver._journal_event(
             {
                 "type": "orphan",
                 "index": index,
-                "disposition": disposition,
+                "disposition": {"imputed": "impute", "dropped": "drop"}[action],
                 "value": value,
                 "record": record.as_dict(),
             }
@@ -297,20 +276,13 @@ def resume(journal_path, *, problem=None, pool_factory=None, tracer=None,
         trace.
     """
     events = recover_journal(journal_path)
-    if not events or events[0].get("type") != "run_start":
+    if events and events[0].get("type") == "run_start":
+        events = _from_run_journal(events)
+    start = check_campaign_journal(events, journal_path)[0]
+    if "n_workers" not in start:
         raise JournalError(
-            f"{journal_path} has no usable run_start record; nothing to resume"
-        )
-    start = events[0]
-    version = start.get("journal_version")
-    if isinstance(version, int) and version > JOURNAL_VERSION:
-        raise JournalError(
-            f"run journal format v{version} is newer than supported "
-            f"v{JOURNAL_VERSION}; upgrade this installation to resume it"
-        )
-    if any(event.get("type") == "run_end" for event in events):
-        raise RuntimeError(
-            f"the run in {journal_path} already completed; nothing to resume"
+            f"{journal_path} is a standalone campaign journal; resume it "
+            "with repro.resume_campaign()"
         )
     if problem is None:
         problem = resolve_problem(start.get("problem", ""))
@@ -329,37 +301,37 @@ def resume(journal_path, *, problem=None, pool_factory=None, tracer=None,
     driver = make_algorithm(
         start["algorithm"],
         problem,
-        rng=0,  # placeholder stream; overwritten below with the journaled state
+        rng=0,  # placeholder stream; the replay restores the journaled state
         pool_factory=pool_factory,
         failure_policy=policy,
         **config,
     )
-    if not hasattr(driver, "_resume_drive"):
+    if not isinstance(driver, BODriverBase):
         raise ValueError(
             f"algorithm {start['algorithm']!r} does not support resume"
         )
-    set_rng_state(driver.rng, start["rng_state"])
+    ledger = driver.campaign.replay(events)
+    if driver.campaign.finished:
+        raise RuntimeError(
+            f"the run in {journal_path} already completed; nothing to resume"
+        )
 
-    state = replay_events(events, driver.session)
-    driver.session.restore_snapshot(state.snapshot)
-    if state.rng_state is not None:
-        set_rng_state(driver.rng, state.rng_state)
-
-    driver._begin_observability(state.n_workers, resumed=True)
-    pool = driver._make_pool(state.n_workers)
+    n_workers = int(start["n_workers"])
+    driver._begin_observability(n_workers, resumed=True)
+    pool = driver._make_pool(n_workers)
     try:
         pool.restore(
-            now=state.clock, next_index=state.next_index, records=state.records
+            now=ledger.clock, next_index=ledger.next_index, records=ledger.records
         )
-
-        driver._journal = JournalWriter(journal_path)
-        driver._owns_journal = True
-        driver._reissue_counts = dict(state.reissue_counts)
-        driver._since_checkpoint = 0
+        driver.campaign.attach_journal(journal_path)
         driver._journal_event(
-            {"type": "resume", "n_pending": len(state.pending), "clock": state.clock}
+            {
+                "type": "campaign_resume",
+                "n_pending": driver.campaign.n_pending,
+                "clock": ledger.clock,
+            }
         )
-        _reconcile_orphans(driver, pool, state)
-        return driver._resume_drive(pool, state)
+        _reconcile_orphans(driver, pool, ledger)
+        return driver._drive(pool)
     finally:
         shutdown_pool(pool)

@@ -34,10 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
-from repro.core.bo import BODriverBase, shutdown_pool
+from repro.core.bo import BODriverBase
 from repro.core.campaign import SyncBatchStrategy, _pareto_front_mask  # noqa: F401 — re-export
 from repro.core.results import RunResult
-from repro.utils.rng import rng_state_to_dict
 
 __all__ = ["SynchronousBatchBO", "SYNC_STRATEGIES"]
 
@@ -76,7 +75,7 @@ class SynchronousBatchBO(BODriverBase):
             raise ValueError(
                 f"unknown strategy {strategy!r}; choose from {SYNC_STRATEGIES}"
             )
-        self.batch_size = int(batch_size)
+        self.batch_size = self.n_workers = int(batch_size)
         self.strategy = strategy
         self.lam = float(lam)
         self.ucb_kappa = float(ucb_kappa)
@@ -106,116 +105,38 @@ class SynchronousBatchBO(BODriverBase):
         """
         return self.campaign.strategy.select(self.campaign, n_points)
 
-    def _estimate_lipschitz(self, model, n_probes: int = 256) -> float:
-        """Delegate to the strategy's Lipschitz probe (kept for tests/ablations)."""
-        return self.campaign.strategy._estimate_lipschitz(
-            self.campaign, model, n_probes
-        )
-
     # -------------------------------------------------------------- main loop
     def _resume_config(self) -> dict:
         config = super()._resume_config()
         config.update(lam=self.lam, ucb_kappa=self.ucb_kappa)
         return config
 
-    def _journal_batch(self, batch_index: int, points) -> None:
-        """Journal a selected batch *before* any of it is submitted.
+    def _barrier(self, pool) -> None:
+        """Wait for every in-flight member of the current batch."""
+        while pool.busy_count:
+            self._consume(pool, self._wait(pool))
 
-        Selection consumes RNG for the whole batch up front, so a crash
-        between two submits of the same batch must not re-select: replay
-        re-submits the journaled points with the journaled post-selection
-        RNG state instead.
+    def _drive(self, pool) -> RunResult:
+        """Batches of asks behind a barrier, resumable at any boundary.
+
+        Every batch is one ``campaign.ask(n)``, so the batch index is the
+        number of asks before it.  A resumed run first dispatches the asked
+        but undispatched members of the current batch and waits out its
+        barrier.
         """
-        if self._journal is None:
-            return
-        self._journal.append(
-            {
-                "type": "batch",
-                "batch": int(batch_index),
-                "points": [[float(v) for v in np.asarray(p).ravel()] for p in points],
-                "rng_state": rng_state_to_dict(self.rng),
-                "surrogate": self.session.snapshot(),
-            }
-        )
-
-    def run(self) -> RunResult:
-        pool = self._make_pool(self.batch_size)
-        try:
-            self._begin_run(self.batch_size)
-            design = self._initial_design()
-            self._journal_doe(design)
-            self.campaign.begin(design)
-            return self._drive(pool, batch_index=0, leftover=())
-        finally:
-            shutdown_pool(pool)
-
-    def _resume_drive(self, pool, state) -> RunResult:
-        design = state.design
-        if design is None:
-            design = self._initial_design()
-            self._journal_doe(design)
-        batch_index, leftover = self._resume_position(state, design, pool)
-        self.campaign.restore(
-            design=design, issued=state.issued, pending=pool.pending_points()
-        )
-        return self._drive(pool, batch_index, leftover)
-
-    def _resume_position(self, state, design, pool):
-        """Locate the crash inside the batch structure.
-
-        Returns ``(batch_index, leftover)`` where ``leftover`` holds the
-        already-selected points of the current batch that were never
-        submitted (selection consumes RNG for the whole batch before the
-        first submit, so they must be re-submitted, not re-selected).
-        """
-        issued = state.issued
-        # A selected-but-not-fully-submitted BO batch takes precedence: its
-        # selection already consumed the RNG, so its points must be
-        # re-submitted, never re-selected.
-        if state.last_batch is not None:
-            b, points = state.last_batch
-            submitted = state.batch_counts.get(b, 0)
-            if submitted < len(points):
-                return b, tuple(np.asarray(p, dtype=float) for p in points[submitted:])
-        if issued == 0 and pool.busy_count == 0:
-            return 0, ()
-        if issued <= self.n_init and state.last_batch is None:
-            current = (issued - 1) // self.batch_size
-            batch_end = min((current + 1) * self.batch_size, self.n_init)
-            if issued < batch_end:
-                return current, tuple(design[issued:batch_end])
-            if pool.busy_count:
-                return current, ()
-            return current + 1, ()
-        # BO phase with the latest batch fully submitted.
-        current = state.last_batch[0] if state.last_batch is not None else state.last_issue_batch
-        if pool.busy_count:
-            return current, ()
-        return current + 1, ()
-
-    def _drive(self, pool, batch_index: int, leftover) -> RunResult:
         campaign = self.campaign
-        # Finish a partially-completed batch (resume only; no-op fresh).
-        if leftover or pool.busy_count:
-            for x in leftover:
-                self._submit(pool, x, batch=batch_index)
-                campaign.note_issued(x)
-            while pool.busy_count:
-                self._consume(pool, self._wait(pool))
-            batch_index += 1
+        self._dispatch_asked(pool, batch=campaign.n_asks - 1)
+        self._barrier(pool)
         # Initial design goes out in synchronous batches too.
         while campaign.in_doe:
-            points = campaign.ask(
-                min(self.batch_size, self.n_init - campaign.issued)
-            )
-            for x in points:
-                self._submit(pool, x, batch=batch_index)
-            while pool.busy_count:
-                self._consume(pool, self._wait(pool))
-            batch_index += 1
+            batch = campaign.n_asks
+            for x in campaign.ask(min(self.batch_size, self.n_init - campaign.issued)):
+                self._dispatch(pool, x, batch=batch)
+            self._barrier(pool)
         while not campaign.exhausted:
             # One synchronous cycle: ask for a batch, issue it, barrier.
-            with self.obs.span("iteration", batch=batch_index):
+            batch = campaign.n_asks
+            with self.obs.span("iteration", batch=batch):
                 n_points = min(self.batch_size, self.max_evals - campaign.issued)
                 if self.session.n_observations < 2:
                     # Too many dropped failures for the GP: the campaign
@@ -224,11 +145,8 @@ class SynchronousBatchBO(BODriverBase):
                 else:
                     with self.obs.span("select-batch", n_points=n_points):
                         points = campaign.ask(n_points, _propose=self._select_batch)
-                self._journal_batch(batch_index, points)
                 for x in points:
-                    self._submit(pool, x, batch=batch_index)
-                while pool.busy_count:
-                    self._consume(pool, self._wait(pool))
+                    self._dispatch(pool, x, batch=batch)
+                self._barrier(pool)
             self.obs.inc("driver.iterations")
-            batch_index += 1
         return self._package(pool)

@@ -184,18 +184,9 @@ class ThreadWorkerPool:
         even for failures.
         """
         while True:
-            with self._lock:
-                if not self._tasks:
-                    raise RuntimeError("nothing is running")
-                deadlines = [
-                    (m["deadline"], i, "timeout")
-                    for i, m in self._tasks.items()
-                    if m["deadline"] is not None
-                ] + [
-                    (m["lease"], i, "lease")
-                    for i, m in self._tasks.items()
-                    if m["lease"] is not None
-                ]
+            deadlines = self._deadlines()
+            if deadlines is None:
+                raise RuntimeError("nothing is running")
             # Never block unboundedly: cap every wait at poll_interval so
             # KeyboardInterrupt is honored promptly and deadlines are polled
             # even when no completion ever arrives.
@@ -203,39 +194,70 @@ class ThreadWorkerPool:
             if deadlines:
                 block = min(block, max(min(deadlines)[0] - self.now, 0.0))
             try:
-                index, result, attempts = self._results.get(timeout=block)
+                item = self._results.get(timeout=block)
             except KeyboardInterrupt:
                 raise
             except queue.Empty:
-                # No completion yet; expire the earliest overdue deadline, if
-                # any, abandoning its (possibly hung or dead) thread.
-                expired = min(
-                    (entry for entry in deadlines if entry[0] <= self.now),
-                    default=None,
-                )
-                if expired is None:
-                    continue
-                _, task_index, kind = expired
-                if kind == "timeout":
-                    failure = EvaluationResult.failed(
-                        f"evaluation exceeded timeout of {self.policy.timeout:g}s",
-                        status=STATUS_TIMEOUT,
-                        cost=self.policy.timeout,
-                    )
-                else:
-                    failure = EvaluationResult.failed(
-                        "worker lease expired with the evaluation still in "
-                        "flight (worker presumed dead)",
-                        status=STATUS_ORPHANED,
-                    )
-                return self._complete(task_index, failure, attempts=1, abandon=True)
-            with self._lock:
-                stale = index in self._abandoned
-                if stale:
-                    self._abandoned.discard(index)
+                completion = self._expire(deadlines)
+            else:
+                completion = self._take(item)
+            if completion is not None:
+                return completion
+
+    def _deadlines(self) -> list[tuple[float, int, str]] | None:
+        """``(deadline, index, kind)`` of every armed timeout and lease.
+
+        ``None`` when nothing is in flight.
+        """
+        with self._lock:
+            if not self._tasks:
+                return None
+            return [
+                (m["deadline"], i, "timeout")
+                for i, m in self._tasks.items()
+                if m["deadline"] is not None
+            ] + [
+                (m["lease"], i, "lease")
+                for i, m in self._tasks.items()
+                if m["lease"] is not None
+            ]
+
+    def _expire(self, deadlines) -> Completion | None:
+        """Fail the task with the earliest overdue deadline, if any.
+
+        Its (possibly hung or dead) thread is abandoned; a late result from
+        it is discarded by :meth:`_take`.
+        """
+        expired = min(
+            (entry for entry in deadlines if entry[0] <= self.now), default=None
+        )
+        if expired is None:
+            return None
+        _, task_index, kind = expired
+        if kind == "timeout":
+            failure = EvaluationResult.failed(
+                f"evaluation exceeded timeout of {self.policy.timeout:g}s",
+                status=STATUS_TIMEOUT,
+                cost=self.policy.timeout,
+            )
+        else:
+            failure = EvaluationResult.failed(
+                "worker lease expired with the evaluation still in "
+                "flight (worker presumed dead)",
+                status=STATUS_ORPHANED,
+            )
+        return self._complete(task_index, failure, attempts=1, abandon=True)
+
+    def _take(self, item) -> Completion | None:
+        """Complete a posted result; ``None`` for a late, abandoned one."""
+        index, result, attempts = item
+        with self._lock:
+            stale = index in self._abandoned
             if stale:
-                continue  # late result of a timed-out, abandoned task
-            return self._complete(index, result, attempts)
+                self._abandoned.discard(index)
+        if stale:
+            return None  # late result of a timed-out, abandoned task
+        return self._complete(index, result, attempts)
 
     def _complete(
         self, index: int, result: EvaluationResult, attempts: int, *, abandon: bool = False
@@ -291,47 +313,13 @@ class ThreadWorkerPool:
         """
         while True:
             try:
-                index, result, attempts = self._results.get_nowait()
+                item = self._results.get_nowait()
             except queue.Empty:
-                with self._lock:
-                    if not self._tasks:
-                        return None
-                    deadlines = [
-                        (m["deadline"], i, "timeout")
-                        for i, m in self._tasks.items()
-                        if m["deadline"] is not None
-                    ] + [
-                        (m["lease"], i, "lease")
-                        for i, m in self._tasks.items()
-                        if m["lease"] is not None
-                    ]
-                expired = min(
-                    (entry for entry in deadlines if entry[0] <= self.now),
-                    default=None,
-                )
-                if expired is None:
-                    return None
-                _, task_index, kind = expired
-                if kind == "timeout":
-                    failure = EvaluationResult.failed(
-                        f"evaluation exceeded timeout of {self.policy.timeout:g}s",
-                        status=STATUS_TIMEOUT,
-                        cost=self.policy.timeout,
-                    )
-                else:
-                    failure = EvaluationResult.failed(
-                        "worker lease expired with the evaluation still in "
-                        "flight (worker presumed dead)",
-                        status=STATUS_ORPHANED,
-                    )
-                return self._complete(task_index, failure, attempts=1, abandon=True)
-            with self._lock:
-                stale = index in self._abandoned
-                if stale:
-                    self._abandoned.discard(index)
-            if stale:
-                continue  # late result of a timed-out, abandoned task
-            return self._complete(index, result, attempts)
+                deadlines = self._deadlines()
+                return None if deadlines is None else self._expire(deadlines)
+            completion = self._take(item)
+            if completion is not None:
+                return completion
 
     def wait_all(self) -> list[Completion]:
         """Drain every outstanding evaluation (synchronous barrier)."""

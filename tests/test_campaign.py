@@ -397,6 +397,44 @@ class TestFormatVersionGuards:
         ):
             resume(journal)
 
+    def test_resume_rejects_newer_driver_journal(self, tmp_path):
+        # Driver journals are campaign journals; their header carries the
+        # campaign format version and the same refusal applies.
+        journal = tmp_path / "run.journal"
+        bumped = campaign_mod.CAMPAIGN_JOURNAL_VERSION + 1
+        with JournalWriter(journal) as writer:
+            writer.append(
+                {
+                    "type": "campaign_start",
+                    "campaign_version": bumped,
+                    "algorithm": "LCB",
+                    "problem": "sphere2",
+                    "n_workers": 1,
+                    "config": {},
+                    "rng_state": rng_state_to_dict(np.random.default_rng(0)),
+                }
+            )
+        with pytest.raises(
+            JournalError,
+            match=rf"campaign journal format v{bumped} is newer than supported",
+        ):
+            resume(journal)
+
+    def test_each_resume_entry_point_refuses_the_other_journal_kind(self, tmp_path):
+        driver_journal = tmp_path / "run.journal"
+        make_algorithm(
+            "LCB", sphere(2), n_init=2, max_evals=3, rng=0,
+            journal=driver_journal, **ACQ,
+        ).run()
+        with pytest.raises(JournalError, match="resume it with repro.resume"):
+            resume_campaign(driver_journal, problem=sphere(2))
+        campaign_journal = tmp_path / "campaign.journal"
+        campaign = _campaign("LCB", n_init=2, max_evals=4, journal=campaign_journal)
+        campaign.ask()
+        campaign.close()
+        with pytest.raises(JournalError, match="standalone campaign journal"):
+            resume(campaign_journal, problem=sphere(2))
+
     def test_resume_campaign_rejects_newer_campaign_journal(self, tmp_path):
         journal = tmp_path / "campaign.journal"
         campaign = _campaign("LCB", n_init=2, max_evals=4, rng=0, journal=journal)

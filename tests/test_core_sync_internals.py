@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.benchmarks import sphere
+from repro.core.pending import estimate_lipschitz
 from repro.core.sync_batch import SynchronousBatchBO, _pareto_front_mask
 from repro.sched.durations import ConstantCostModel
 
@@ -84,7 +85,7 @@ class TestBatchSelection:
     def test_lipschitz_estimate_positive(self, driver):
         primed = self._primed(driver, "lp")
         model = primed.session.refit()
-        lipschitz = primed._estimate_lipschitz(model)
+        lipschitz = estimate_lipschitz(model, primed.session.dim, primed.rng)
         assert lipschitz > 0
 
     def test_mace_points_distinct(self, driver):

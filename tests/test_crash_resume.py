@@ -15,6 +15,8 @@ state round-trips.
 
 import json
 import os
+import pathlib
+import shutil
 import time
 
 import numpy as np
@@ -86,8 +88,8 @@ def test_journaled_run_matches_golden(name, tmp_path):
     result = run_scenario(name, journal=path, checkpoint_every=2)
     assert_matches_golden(name, result)
     events = read_journal(path, strict=True)
-    assert events[0]["type"] == "run_start"
-    assert events[-1]["type"] == "run_end"
+    assert events[0]["type"] == "campaign_start"
+    assert events[-1]["type"] == "campaign_end"
     assert events[-1]["best_fom"] == result.best_fom
 
 
@@ -104,8 +106,8 @@ def test_resume_after_journal_kill_matches_golden(name, fraction, tmp_path):
     assert_matches_golden(name, resumed)
     # The journal now ends with the completed run's epilogue.
     events = read_journal(path, strict=True)
-    assert any(e["type"] == "resume" for e in events)
-    assert events[-1]["type"] == "run_end"
+    assert any(e["type"] == "campaign_resume" for e in events)
+    assert events[-1]["type"] == "campaign_end"
 
 
 @pytest.mark.parametrize("kill_at", [1, 4, 7, 11])
@@ -183,8 +185,107 @@ def test_resume_refuses_journal_without_run_start(tmp_path):
     path = tmp_path / "empty.jsonl"
     with JournalWriter(path) as writer:
         writer.append({"type": "complete"})
-    with pytest.raises(Exception, match="run_start"):
+    with pytest.raises(Exception, match="campaign_start"):
         resume(path)
+
+
+class TestSideDatasetResume:
+    """Replayed tells go through the driver's absorb hook.
+
+    cEasyBO keeps one constraint-slack row and caEasyBO one log-cost per
+    observation; resume must rebuild both from the journaled results.  These
+    resumes are valid continuations but not bit-exact replays: the side GPs
+    warm-start from the previous proposal's fit and draw their ML-II
+    restarts from the run RNG, and a resumed driver starts them cold.  So
+    the check is the spent budget and the alignment of the side dataset with
+    the surrogate, not a golden trajectory.
+    """
+
+    KWARGS = dict(rng=5, n_init=4, max_evals=9, acq_candidates=64,
+                  acq_restarts=1, surrogate_update="full")
+
+    @pytest.mark.parametrize(
+        "label, side", [("cEasyBO-3", "_slacks"), ("caEasyBO-3", "_log_costs")]
+    )
+    def test_killed_run_resumes_with_aligned_side_dataset(
+        self, label, side, tmp_path, monkeypatch
+    ):
+        import repro.core.easybo as easybo
+        from repro.circuits import ConstrainedOpAmpProblem
+
+        full = tmp_path / "full.jsonl"
+        make_algorithm(
+            label, ConstrainedOpAmpProblem(), journal=full, **self.KWARGS
+        ).run()
+        kill_at = round(0.6 * len(read_journal(full, strict=True)))
+        path = tmp_path / "run.jsonl"
+        writer = KillSwitchJournal(JournalWriter(path), kill_at=kill_at)
+        try:
+            with pytest.raises(ProcessKilled):
+                make_algorithm(
+                    label, ConstrainedOpAmpProblem(), journal=writer, **self.KWARGS
+                ).run()
+        finally:
+            writer.journal.close()
+
+        drivers = []
+
+        def capture(*args, **kwargs):
+            drivers.append(make_algorithm(*args, **kwargs))
+            return drivers[-1]
+
+        monkeypatch.setattr(easybo, "make_algorithm", capture)
+        result = resume(path)
+        (driver,) = drivers
+        assert result.algorithm == label
+        assert result.n_evaluations == self.KWARGS["max_evals"]
+        assert len(getattr(driver, side)) == driver.session.n_observations
+
+
+class TestOlderRunJournals:
+    """Journals in the older run-journal vocabulary still resume.
+
+    The fixtures under ``tests/golden/journals/`` were written by the run
+    journal that preceded campaign-vocabulary driver journals
+    (``run_start`` / ``doe`` / ``issue`` / ``batch`` / ``complete`` /
+    ``checkpoint``), with ``checkpoint_every=3`` and a
+    :class:`KillSwitchJournal`: ``easybo-async-branin`` killed before its
+    19th append, ``pbo-sphere2`` before its 24th — after the ``batch``
+    record of its last batch and the first ``issue`` of that batch.
+    :func:`resume` translates their records when read and replays them
+    through the same fold as every other journal.
+    """
+
+    FIXTURES = pathlib.Path(__file__).parent / "golden" / "journals"
+
+    def copy(self, name: str, tmp_path) -> pathlib.Path:
+        # resume() appends to the journal, so never run it on the fixture.
+        path = tmp_path / "run.jsonl"
+        shutil.copyfile(self.FIXTURES / f"{name}.run-v1.jsonl", path)
+        return path
+
+    @pytest.mark.parametrize("name", ["easybo-async-branin", "pbo-sphere2"])
+    def test_older_journal_resumes_to_golden(self, name, tmp_path):
+        path = self.copy(name, tmp_path)
+        assert read_journal(path, strict=True)[0]["type"] == "run_start"
+        assert_matches_golden(name, resume(path))
+        events = read_journal(path, strict=True)
+        assert events[-1]["type"] == "campaign_end"
+
+    def test_pbo_fixture_was_killed_inside_a_batch(self):
+        events = read_journal(self.FIXTURES / "pbo-sphere2.run-v1.jsonl", strict=True)
+        kinds = [e["type"] for e in events]
+        assert kinds[-2:] == ["batch", "issue"]
+
+    def test_resumed_older_journal_survives_a_second_crash(self, tmp_path):
+        # The resumed run appends campaign records behind the older ones; a
+        # second crash must still resume from the mixed file.
+        name = "easybo-async-branin"
+        problem = make_problem(SCENARIOS[name][1])
+        path = self.copy(name, tmp_path)
+        with pytest.raises(ProcessKilled):
+            resume(path, problem=KillSwitchProblem(problem, kill_at=5))
+        assert_matches_golden(name, resume(path, problem=problem))
 
 
 class TestOrphanDispositions:
