@@ -168,6 +168,20 @@ class HighCoveragePenalty:
         if len(queue) > self.HISTORY:
             queue.pop(0)
 
+    def history(self) -> dict:
+        """The recorded queries per slot as JSON-ready lists (for journals)."""
+        return {
+            str(slot): [[float(v) for v in x] for x in queue]
+            for slot, queue in self._history.items()
+        }
+
+    def restore(self, history: dict) -> None:
+        """Reinstate a :meth:`history` snapshot exactly (floats round-trip)."""
+        self._history = {
+            int(slot): [np.asarray(x, dtype=float) for x in queue]
+            for slot, queue in history.items()
+        }
+
     def __call__(self, slot: int, X: np.ndarray) -> np.ndarray:
         """Penalty values for candidates ``X`` against slot ``slot``."""
         X = check_matrix(X, "X", cols=self.dim)

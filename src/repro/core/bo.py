@@ -489,9 +489,6 @@ class SequentialBO(BODriverBase):
         )
         self.campaign.algorithm = self.algorithm_name
 
-    def _make_acquisition(self):
-        return self.campaign.strategy.make_acquisition(self.campaign)
-
     def _resume_config(self) -> dict:
         config = super()._resume_config()
         config.update(lam=self.lam, ucb_kappa=self.ucb_kappa, ei_xi=self.ei_xi)

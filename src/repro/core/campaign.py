@@ -239,6 +239,18 @@ class SyncBatchStrategy:
             self._hc = HighCoveragePenalty(core.session.dim, d=self.hc_d)
         return self._hc
 
+    def journal_state(self) -> dict | None:
+        """State each ``ask`` record carries: pHCBO's coverage history.
+
+        The penalty's own unit-cube points are journaled; re-deriving them
+        from the physical points need not round-trip bit-exactly.
+        """
+        return None if self._hc is None else {"coverage": self._hc.history()}
+
+    def restore_state(self, core: "Campaign", state: dict) -> None:
+        """Reinstate a :meth:`journal_state` record on replay."""
+        self._coverage(core).restore(state["coverage"])
+
     def propose(self, core: "Campaign") -> np.ndarray:
         return self.select(core, 1)[0]
 
@@ -633,6 +645,9 @@ class Campaign:
                 "rng_state": rng_state_to_dict(self.rng),
                 "surrogate": self.session.snapshot(),
             }
+            strategy_state = getattr(self.strategy, "journal_state", lambda: None)()
+            if strategy_state is not None:
+                event["strategy"] = strategy_state
             if request_id is not None:
                 event["request_id"] = str(request_id)
             self._journal_event(event)
@@ -880,13 +895,14 @@ class Campaign:
         :attr:`absorb_hook` with their journaled failure action, so imputed
         values and subclass side datasets come out as they were.  The
         hyperparameter snapshot and the bit-exact RNG state are restored
-        from the last durable record.  ``checkpoint`` records are
-        cross-checked against the rebuilt dataset, and a ``campaign_end``
-        sets :attr:`finished`.  The driver-only records fill the returned
-        :class:`PoolLedger`.
+        from the last durable record, and so is the strategy state an ``ask``
+        record carries (see :meth:`SyncBatchStrategy.journal_state`).
+        ``checkpoint`` records are cross-checked against the rebuilt
+        dataset, and a ``campaign_end`` sets :attr:`finished`.  The
+        driver-only records fill the returned :class:`PoolLedger`.
         """
         ledger = PoolLedger()
-        snapshot = None
+        snapshot = strategy_state = None
         rng_state = None
         for event in events:
             kind = event.get("type")
@@ -899,6 +915,7 @@ class Campaign:
                 self._note_asked([np.asarray(p, dtype=float) for p in event["points"]])
                 if event.get("surrogate") is not None:
                     snapshot = event["surrogate"]
+                strategy_state = event.get("strategy", strategy_state)
             elif kind == "dispatch":
                 index = int(event["index"])
                 ledger.in_flight[index] = event
@@ -922,6 +939,8 @@ class Campaign:
             elif kind == "campaign_end":
                 self.finished = True
         self.session.restore_snapshot(snapshot)
+        if strategy_state is not None:
+            self.strategy.restore_state(self, strategy_state)
         if rng_state is not None:
             set_rng_state(self.rng, rng_state)
         return ledger

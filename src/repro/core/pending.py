@@ -204,8 +204,12 @@ class PessimisticPolicy(PendingPolicy):
     through the posterior covariance, so the per-point mean bound is only
     guaranteed against the model state each point was conditioned on.)
 
-    ``beta=0`` degenerates to the kriging believer (Eq. 9 hallucination via
-    the rebuild path).
+    The pseudo-observation loop is the models' own
+    :meth:`~repro.gp.PosteriorModel.condition_on_pending`, so the policy
+    runs on the exact and the sparse posterior alike.  ``beta=0``
+    degenerates to the kriging believer (Eq. 9 hallucination via the
+    rebuild path on the exact model, the factor-shared view on the sparse
+    one).
     """
 
     name = "pessimistic"
@@ -215,25 +219,13 @@ class PessimisticPolicy(PendingPolicy):
             raise ValueError("beta must be >= 0")
         self.beta = float(beta)
 
-    def condition_pessimistic(self, model, U_pending):
-        """Copy of ``model`` extended with pessimistic pseudo-observations.
-
-        Mirrors :meth:`GaussianProcess.condition_on_pending` (greedy, one
-        border update per point) with ``mu - beta * sigma`` targets.
-        """
-        extended = model.copy()
-        for u in np.atleast_2d(U_pending):
-            mu, sigma = extended.predict(u.reshape(1, -1))
-            extended.add_observation(u, float(mu[0] - self.beta * sigma[0]))
-        return extended
-
     def model(self, session, X_pending):
         model = session.require_model()
         X_pending = np.asarray(X_pending, dtype=float)
         if X_pending.size == 0:
             return model
         U_pending = session.transform.to_unit(X_pending)
-        return self.condition_pessimistic(model, U_pending)
+        return model.condition_on_pending(U_pending, beta=self.beta)
 
 
 #: Registry of selectable policies, in documentation order.

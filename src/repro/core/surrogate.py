@@ -25,9 +25,11 @@ Three orthogonal knobs control what each dispatch costs:
   after — see docs/surrogate_scaling.md).
 
 In incremental mode the pending-point hallucination (Alg. 1 lines 5-6) is a
-:class:`HallucinatedView`: the kriging-believer pseudo-observations are
-appended to the factored system as one rank-k block and discarded by simply
-dropping the view, never refactorizing the base model.
+:class:`~repro.gp.HallucinatedView` (re-exported here): the kriging-believer
+pseudo-observations are appended to the factored system as one rank-k block
+and discarded by simply dropping the view, never refactorizing the base
+model.  The session never asks which model class it holds; it reads the
+model's ``kind`` (``"exact"`` or ``"sparse"``).
 """
 
 from __future__ import annotations
@@ -39,16 +41,16 @@ import numpy as np
 from repro.gp import (
     BoxTransform,
     GaussianProcess,
+    HallucinatedView,
     HyperparameterBounds,
     OutputStandardizer,
+    PosteriorModel,
     SparseGaussianProcess,
     SparseHallucinatedView,
     SquaredExponential,
     fit_hyperparameters,
     select_inducing,
 )
-from repro.gp import linalg
-from repro.gp.gp import VARIANCE_FLOOR
 from repro.sched.trace import SurrogateStats
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_finite, check_matrix, check_vector
@@ -75,99 +77,6 @@ DEFAULT_MAX_EXACT_N = 1000
 
 #: Default inducing-set budget for the sparse posterior.
 DEFAULT_N_INDUCING = 256
-
-
-class HallucinatedView:
-    """Posterior view of a GP with pending points folded in, factor-shared.
-
-    The kriging-believer construction (paper §III-C) appends each pending
-    point with its own predictive mean as a pseudo-observation.  Because the
-    pseudo-targets *are* the posterior means, the extended weight vector is
-    exactly ``[alpha, 0]`` — the mean surface is unchanged — and only the
-    variance needs the extended factor.  This view therefore stores just the
-    border blocks of the extended Cholesky factor
-
-        L_ext = [[L, 0], [B^T, L_p]],   B = L^{-1} k(X, X_p),
-        L_p L_p^T = k(X_p, X_p) + sigma_n^2 I - B^T B
-
-    sharing ``L`` with the base model: construction is O(n^2 k) with no copy
-    and no refactorization, and discarding the pending points is dropping
-    the view.  Equivalent to
-    :meth:`~repro.gp.gp.GaussianProcess.condition_on_pending` up to
-    round-off (enforced to ≤1e-8 by the equivalence harness).
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        When the pending block's Schur complement is not positive definite
-        (near-duplicate pending points at tiny noise); callers fall back to
-        the rebuild path.
-    """
-
-    def __init__(self, base: GaussianProcess, X_pending):
-        X_pending = check_matrix(X_pending, "X_pending", cols=base.dim)
-        if X_pending.shape[0] == 0:
-            raise ValueError("HallucinatedView needs at least one pending point")
-        check_finite(X_pending, "X_pending")
-        self.base = base
-        self._X_pending = X_pending.copy()
-        lower = base.cholesky_factor
-        cross = base.kernel(base.X, X_pending)  # (n, k)
-        corner = base.kernel(X_pending) + base.noise_variance * np.eye(
-            X_pending.shape[0]
-        )
-        self._B = linalg.solve_lower(lower, cross)  # (n, k)
-        schur = corner - self._B.T @ self._B
-        schur = 0.5 * (schur + schur.T)
-        self._lower_p = np.linalg.cholesky(schur)  # raises LinAlgError
-
-    # ---------------------------------------------------------- properties
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def n_pending(self) -> int:
-        return self._X_pending.shape[0]
-
-    @property
-    def n_train(self) -> int:
-        """Size of the hallucinated training set (real + pending)."""
-        return self.base.n_train + self.n_pending
-
-    @property
-    def X_pending(self) -> np.ndarray:
-        return self._X_pending.copy()
-
-    # ------------------------------------------------------------- predict
-    def predict(self, X, return_std: bool = True):
-        """Posterior mean (and the paper's sigma-hat) at the rows of ``X``.
-
-        The mean equals the base model's mean exactly (kriging believer);
-        the standard deviation is collapsed around the pending points.
-        """
-        X = check_matrix(X, "X", cols=self.dim)
-        mu = self.base.predict(X, return_std=False)
-        if not return_std:
-            return mu
-        k1 = self.base.kernel(self.base.X, X)  # (n, m)
-        v1 = linalg.solve_lower(self.base.cholesky_factor, k1)
-        k2 = self.base.kernel(self._X_pending, X)  # (k, m)
-        v2 = linalg.solve_lower(self._lower_p, k2 - self._B.T @ v1)
-        var = self.base.kernel.diag(X) - np.sum(v1**2, axis=0) - np.sum(v2**2, axis=0)
-        sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-        return mu, sigma
-
-    def discard(self) -> GaussianProcess:
-        """Return the untouched base model (the pending points cost nothing
-        to drop — no downdate, no refactorization ever happened)."""
-        return self.base
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HallucinatedView(n_train={self.base.n_train}, "
-            f"n_pending={self.n_pending})"
-        )
 
 
 class SurrogateSession:
@@ -245,7 +154,7 @@ class SurrogateSession:
 
         self.obs = obs if obs is not None else NULL_OBS
         self.output = OutputStandardizer()
-        self.model: GaussianProcess | None = None
+        self.model: PosteriorModel | None = None
         self.stats = SurrogateStats()
         self._hyper_bounds = HyperparameterBounds(self.transform.dim)
         self._X = np.empty((0, self.transform.dim))
@@ -319,7 +228,7 @@ class SurrogateSession:
         """Whether the GP has enough data to be (re)fitted."""
         return self.n_observations >= 2
 
-    def refit(self) -> GaussianProcess | None:
+    def refit(self) -> PosteriorModel | None:
         """(Re)fit the GP on all observations.
 
         Returns ``None`` with fewer than two observations instead of
@@ -370,9 +279,7 @@ class SurrogateSession:
     @property
     def active_surrogate(self) -> str | None:
         """Posterior kind currently backing the session (None before fit)."""
-        if self.model is None:
-            return None
-        return "sparse" if isinstance(self.model, SparseGaussianProcess) else "exact"
+        return None if self.model is None else self.model.kind
 
     def _fit_ml2(self, U: np.ndarray, z: np.ndarray) -> None:
         """Full ML-II hyperparameter fit (warm-started after the first)."""
@@ -384,7 +291,7 @@ class SurrogateSession:
             self.model = GaussianProcess(kernel=kernel, noise_variance=1e-4)
             restarts = self.n_restarts_first
         else:
-            if not isinstance(self.model, GaussianProcess):
+            if self.model.kind != "exact":
                 # Switching back from the sparse posterior: warm-start the
                 # exact model from the sparse kernel's hyperparameters.
                 self.model = GaussianProcess(
@@ -472,7 +379,7 @@ class SurrogateSession:
             self.model.fit(U, z)
             self.stats.n_refactorizations += 1
 
-    def require_model(self) -> GaussianProcess:
+    def require_model(self) -> PosteriorModel:
         if self.model is None or not self.model.is_fitted:
             raise RuntimeError("call refit() before using the surrogate")
         return self.model
@@ -501,7 +408,7 @@ class SurrogateSession:
                 "kind": self.active_surrogate,
                 "n_inducing": int(self.n_inducing),
             }
-            if isinstance(self.model, SparseGaussianProcess) and self.model.is_fitted:
+            if self.model.kind == "sparse":
                 # The inducing set is part of the posterior, not a derived
                 # quantity: the session seeds it with the incumbent and the
                 # most recent points, so a restore that re-ran the plain
@@ -540,7 +447,8 @@ class SurrogateSession:
         )
         # Snapshots older than the sparse path carry no "kind" — they were
         # always exact.
-        if str(params.get("kind", "exact")) == "sparse":
+        sparse = str(params.get("kind", "exact")) == "sparse"
+        if sparse:
             self.model = SparseGaussianProcess(
                 kernel=kernel,
                 noise_variance=float(params["noise_variance"]),
@@ -554,11 +462,7 @@ class SurrogateSession:
             U = self.transform.to_unit(self._X)
             z = self.output.fit_transform(self._y)
             idx = params.get("inducing_indices")
-            if (
-                isinstance(self.model, SparseGaussianProcess)
-                and idx is not None
-                and all(0 <= int(i) < len(z) for i in idx)
-            ):
+            if sparse and idx is not None and all(0 <= int(i) < len(z) for i in idx):
                 self.model.fit(U, z, inducing_indices=np.asarray(idx, dtype=int))
             else:
                 self.model.fit(U, z)
@@ -584,18 +488,15 @@ class SurrogateSession:
             U_pending = self.transform.to_unit(
                 check_matrix(X_pending, "X_pending", cols=self.dim)
             )
+            # The sparse view is O(m^2 k) in both update modes, and a rank-1
+            # update of a PD factor cannot lose positive definiteness, so
+            # only the exact view can fall back to the rebuild.
+            sparse = model.kind == "sparse"
+            view_type = SparseHallucinatedView if sparse else HallucinatedView
             try:
-                if isinstance(model, SparseGaussianProcess):
-                    # The sparse hallucination is already factor-shared and
-                    # O(m^2 k) in both update modes; a rank-1 update of a PD
-                    # factor cannot lose positive definiteness, so there is
-                    # no fallback path.
-                    view = SparseHallucinatedView(model, U_pending)
-                    self.stats.n_hallucinated_views += 1
-                    return view
-                if self.surrogate_update == "incremental":
+                if sparse or self.surrogate_update == "incremental":
                     try:
-                        view = HallucinatedView(model, U_pending)
+                        view = view_type(model, U_pending)
                         self.stats.n_hallucinated_views += 1
                         return view
                     except np.linalg.LinAlgError:
@@ -621,8 +522,8 @@ class SurrogateSession:
 
         Returns a callable suitable for
         :func:`repro.core.optimizers.maximize_acquisition` over the unit cube.
-        ``model`` may be a :class:`~repro.gp.GaussianProcess` or a
-        :class:`HallucinatedView` — acquisitions only need ``predict``.
+        ``model`` may be any :class:`~repro.gp.PosteriorModel` or
+        :class:`~repro.gp.PendingView` — acquisitions only need ``predict``.
         """
         model = model if model is not None else self.require_model()
 

@@ -91,11 +91,6 @@ class SynchronousBatchBO(BODriverBase):
         self.campaign.batch_size = self.batch_size
         self.campaign.algorithm = self.algorithm_name
 
-    @property
-    def _hc(self):
-        """The pHCBO coverage-penalty state (lives on the strategy)."""
-        return self.campaign.strategy._hc
-
     # -------------------------------------------------------------- selection
     def _select_batch(self, n_points: int) -> list[np.ndarray]:
         """Choose ``n_points`` query points for the next batch.
@@ -108,7 +103,9 @@ class SynchronousBatchBO(BODriverBase):
     # -------------------------------------------------------------- main loop
     def _resume_config(self) -> dict:
         config = super()._resume_config()
-        config.update(lam=self.lam, ucb_kappa=self.ucb_kappa)
+        config.update(
+            lam=self.lam, ucb_kappa=self.ucb_kappa, hc_d=self.campaign.strategy.hc_d
+        )
         return config
 
     def _barrier(self, pool) -> None:

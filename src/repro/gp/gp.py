@@ -10,16 +10,20 @@ where ``K = k(X, X) + sigma_n^2 I``.  Two features matter for EasyBO:
 
 * :meth:`GaussianProcess.log_marginal_likelihood` exposes the analytic
   gradient used by ML-II hyperparameter fitting (:mod:`repro.gp.hyperopt`);
-* :meth:`GaussianProcess.condition_on_pending` implements the paper's
-  penalization scheme (§III-C): pending batch points are appended to the
-  training set with their own predictive means as hallucinated observations,
-  which collapses the posterior variance around busy locations without
-  changing the predictive mean surface.
+* the paper's penalization scheme (§III-C, Eq. 9): pending batch points are
+  appended to the training set with their own predictive means as
+  hallucinated observations, which collapses the posterior variance around
+  busy locations without changing the predictive mean surface.
+
+The exact model and the budgeted sparse one (:mod:`repro.gp.sparse`) share
+one interface: :class:`PosteriorModel` owns what both models do alike
+(validation, joint sampling, the greedy pseudo-observation loop behind
+:meth:`PosteriorModel.condition_on_pending`), and :class:`PendingView` owns
+what both factor-shared Eq. 9 views do alike.  :class:`HallucinatedView` is
+the exact model's view.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from repro.gp.kernels import Kernel, SquaredExponential
 from repro.gp.mean import MeanFunction, ZeroMean
 from repro.utils.validation import check_finite, check_matrix, check_vector
 
-__all__ = ["GaussianProcess", "PosteriorState", "ExactCholeskyState"]
+__all__ = ["PosteriorModel", "PendingView", "GaussianProcess", "HallucinatedView"]
 
 #: Floor applied to the predictive variance before taking square roots.
 VARIANCE_FLOOR = 1e-14
@@ -37,36 +41,15 @@ VARIANCE_FLOOR = 1e-14
 NOISE_FLOOR = 1e-10
 
 
-class PosteriorState:
-    """Base for swappable posterior representations behind a surrogate.
+class PosteriorModel:
+    """Base of the exact and sparse GP posteriors.
 
-    The seam (after syne-tune's ``posterior_state.py``) that lets the
-    surrogate session switch between the exact O(n^3) Cholesky posterior and
-    the budgeted inducing-point posterior (:mod:`repro.gp.sparse`) without
-    the BO layers noticing: each state is a value object owning exactly the
-    arrays its predictive equations need.
-    """
-
-    def copy(self) -> "PosteriorState":
-        raise NotImplementedError
-
-
-@dataclasses.dataclass
-class ExactCholeskyState(PosteriorState):
-    """Exact-GP posterior: lower Cholesky factor of ``K`` and ``K^{-1} r``."""
-
-    lower: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-
-    def copy(self) -> "ExactCholeskyState":
-        return ExactCholeskyState(
-            lower=None if self.lower is None else self.lower.copy(),
-            alpha=None if self.alpha is None else self.alpha.copy(),
-        )
-
-
-class GaussianProcess:
-    """Exact GP regression model.
+    Everything the surrogate session, the acquisitions and the pending
+    policies call exists on both models: ``fit`` / ``update`` /
+    ``add_observation`` / ``set_targets`` / ``predict`` /
+    ``posterior_covariance`` / ``sample_posterior`` /
+    ``condition_on_pending`` / ``copy``.  Subclasses implement the
+    factorization-specific ones; this class owns the rest.
 
     Parameters
     ----------
@@ -78,6 +61,9 @@ class GaussianProcess:
     mean:
         Prior mean function; defaults to zero (use with standardized y).
     """
+
+    #: Which posterior representation this is: ``"exact"`` or ``"sparse"``.
+    kind = ""
 
     def __init__(
         self,
@@ -98,39 +84,142 @@ class GaussianProcess:
         self.kernel = kernel
         self.noise_variance = max(float(noise_variance), NOISE_FLOOR)
         self.mean = mean if mean is not None else ZeroMean()
-        self._X: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._state = ExactCholeskyState()
-
-    # ------------------------------------------------------------ properties
-    @property
-    def posterior_state(self) -> ExactCholeskyState:
-        """The posterior value object behind this model (see PosteriorState)."""
-        return self._state
-
-    # The factorization methods below were written against ``_lower`` /
-    # ``_alpha`` attributes; routing them through the state keeps every
-    # method body (and hence every floating-point operation) unchanged.
-    @property
-    def _lower(self) -> np.ndarray | None:
-        return self._state.lower
-
-    @_lower.setter
-    def _lower(self, value: np.ndarray | None) -> None:
-        self._state.lower = value
-
-    @property
-    def _alpha(self) -> np.ndarray | None:
-        return self._state.alpha
-
-    @_alpha.setter
-    def _alpha(self, value: np.ndarray | None) -> None:
-        self._state.alpha = value
 
     @property
     def dim(self) -> int:
         return self.kernel.dim
 
+    def add_observation(self, x, y_value: float) -> "PosteriorModel":
+        """Append one observation (a one-row :meth:`update`)."""
+        x = check_vector(x, "x", size=self.dim)
+        return self.update(x.reshape(1, -1), np.array([float(y_value)]))
+
+    def sample_posterior(self, X, n_samples: int = 1, rng=None) -> np.ndarray:
+        """Draw joint posterior samples; returns shape ``(n_samples, n)``."""
+        from repro.utils.rng import as_generator
+
+        rng = as_generator(rng)
+        X = check_matrix(X, "X", cols=self.dim)
+        mu = self.predict(X, return_std=False)
+        cov = self.posterior_covariance(X)
+        lower, _ = linalg.jittered_cholesky(cov + VARIANCE_FLOOR * np.eye(len(mu)))
+        z = rng.standard_normal((n_samples, len(mu)))
+        return mu[None, :] + z @ lower.T
+
+    def condition_on_pending(self, X_pending, *, beta: float = 0.0):
+        """Hallucinate pending batch points into a copy of the model.
+
+        Greedy: each pending point is appended with the pseudo-observation
+        ``mu - beta * sigma`` predicted by the model extended with the
+        earlier ones.  ``beta=0`` is the paper's kriging believer (§III-C,
+        as in BUCB): sigma-hat collapses near the pending points, which is
+        exactly the diversity penalty of Eq. 9, while the mean surface is
+        unchanged at the pending locations.  ``beta > 0`` is pessimistic
+        asynchronous sampling (arXiv:2406.15291), which also pulls the mean
+        down near busy locations.
+
+        The original model is not modified.
+        """
+        self._require_fitted()
+        X_pending = check_matrix(X_pending, "X_pending", cols=self.dim)
+        model = self.copy()
+        for x in X_pending:
+            mu, sigma = model.predict(x.reshape(1, -1))
+            model.add_observation(x, float(mu[0] - beta * sigma[0]))
+        return model
+
+    def _require_fitted(self) -> None:
+        if not self.is_fitted:
+            raise RuntimeError(f"{type(self).__name__} must be fitted first")
+
+
+class PendingView:
+    """A fitted model's posterior with pending points folded in, factor-shared.
+
+    The kriging-believer pseudo-targets *are* the posterior means, so the
+    mean surface is exactly the base model's and only the variance needs
+    the pending points.  A view shares every factor and weight of its base
+    model and owns only the extra factor blocks :meth:`_factor` builds;
+    :meth:`predict` takes the mean from the base model and the variance
+    from :meth:`_variance`.  Discarding the pending points is dropping the
+    view.
+    """
+
+    def __init__(self, base: PosteriorModel, X_pending):
+        X_pending = check_matrix(X_pending, "X_pending", cols=base.dim)
+        if X_pending.shape[0] == 0:
+            raise ValueError(f"{type(self).__name__} needs at least one pending point")
+        check_finite(X_pending, "X_pending")
+        base._require_fitted()
+        self.base = base
+        self._X_pending = X_pending.copy()
+        self._factor(X_pending)
+
+    def _factor(self, X_pending: np.ndarray) -> None:
+        """Build the view's own factor blocks for the pending rows."""
+        raise NotImplementedError
+
+    def _variance(self, X: np.ndarray) -> np.ndarray:
+        """Hallucinated posterior variance at the rows of ``X``."""
+        raise NotImplementedError
+
+    # ---------------------------------------------------------- properties
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    @property
+    def n_pending(self) -> int:
+        return self._X_pending.shape[0]
+
+    @property
+    def n_train(self) -> int:
+        """Size of the hallucinated training set (real + pending)."""
+        return self.base.n_train + self.n_pending
+
+    @property
+    def X_pending(self) -> np.ndarray:
+        return self._X_pending.copy()
+
+    # ------------------------------------------------------------- predict
+    def predict(self, X, return_std: bool = True):
+        """Posterior mean (and the paper's sigma-hat) at the rows of ``X``.
+
+        The mean equals the base model's mean exactly (kriging believer);
+        the standard deviation is collapsed around the pending points.
+        """
+        X = check_matrix(X, "X", cols=self.dim)
+        mu = self.base.predict(X, return_std=False)
+        if not return_std:
+            return mu
+        sigma = np.sqrt(np.maximum(self._variance(X), VARIANCE_FLOOR))
+        return mu, sigma
+
+    def discard(self) -> PosteriorModel:
+        """Return the untouched base model (the pending points cost nothing
+        to drop — no downdate, no refactorization ever happened)."""
+        return self.base
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(n_train={self.base.n_train}, "
+            f"n_pending={self.n_pending})"
+        )
+
+
+class GaussianProcess(PosteriorModel):
+    """Exact GP regression model (see :class:`PosteriorModel` for parameters)."""
+
+    kind = "exact"
+
+    def __init__(self, dim: int | None = None, **kwargs):
+        super().__init__(dim, **kwargs)
+        self._X: np.ndarray | None = None
+        self._y: np.ndarray | None = None
+        self._lower: np.ndarray | None = None
+        self._alpha: np.ndarray | None = None
+
+    # ------------------------------------------------------------ properties
     @property
     def is_fitted(self) -> bool:
         return self._X is not None
@@ -154,8 +243,8 @@ class GaussianProcess:
         """Cached lower Cholesky factor of the training covariance.
 
         Exposed (read-only by convention) so incremental consumers such as
-        :class:`~repro.core.surrogate.HallucinatedView` can extend the
-        factored system without refactorizing; do not mutate it.
+        :class:`HallucinatedView` can extend the factored system without
+        refactorizing; do not mutate it.
         """
         self._require_fitted()
         return self._lower
@@ -309,38 +398,6 @@ class GaussianProcess:
         # Symmetrize against round-off.
         return 0.5 * (cov + cov.T)
 
-    def sample_posterior(self, X, n_samples: int = 1, rng=None) -> np.ndarray:
-        """Draw joint posterior samples; returns shape ``(n_samples, n)``."""
-        from repro.utils.rng import as_generator
-
-        rng = as_generator(rng)
-        X = check_matrix(X, "X", cols=self.dim)
-        mu = self.predict(X, return_std=False)
-        cov = self.posterior_covariance(X)
-        lower, _ = linalg.jittered_cholesky(cov + VARIANCE_FLOOR * np.eye(len(mu)))
-        z = rng.standard_normal((n_samples, len(mu)))
-        return mu[None, :] + z @ lower.T
-
-    # ------------------------------------------------- pending-point scheme
-    def condition_on_pending(self, X_pending) -> "GaussianProcess":
-        """Hallucinate pending batch points into the model (paper §III-C).
-
-        Each pending point is appended to the training set with its *current
-        predictive mean* as a pseudo-observation (kriging believer, as in
-        BUCB).  The returned model's sigma-hat collapses near the pending
-        points, which is exactly the diversity penalty of Eq. 9, while the
-        mean surface is unchanged at the pending locations.
-
-        The original model is not modified.
-        """
-        self._require_fitted()
-        X_pending = check_matrix(X_pending, "X_pending", cols=self.dim)
-        model = self.copy()
-        for x in X_pending:
-            y_hat = float(model.predict(x.reshape(1, -1), return_std=False)[0])
-            model.add_observation(x, y_hat)
-        return model
-
     # ---------------------------------------------------- marginal likelihood
     def log_marginal_likelihood(
         self, theta: np.ndarray | None = None, return_grad: bool = False
@@ -405,15 +462,54 @@ class GaussianProcess:
         if self.is_fitted:
             model._X = self._X.copy()
             model._y = self._y.copy()
-            model._state = self._state.copy()
+            model._lower = self._lower.copy()
+            model._alpha = self._alpha.copy()
         return model
-
-    def _require_fitted(self) -> None:
-        if not self.is_fitted:
-            raise RuntimeError("GaussianProcess must be fitted first")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"GaussianProcess(n_train={self.n_train}, kernel={self.kernel!r}, "
             f"noise_variance={self.noise_variance:.3e})"
         )
+
+
+class HallucinatedView(PendingView):
+    """Exact-GP posterior with pending points folded in, factor-shared.
+
+    The kriging-believer pseudo-observations extend the weight vector to
+    exactly ``[alpha, 0]``, so only the variance needs the extended
+    Cholesky factor.  This view stores just its border blocks
+
+        L_ext = [[L, 0], [B^T, L_p]],   B = L^{-1} k(X, X_p),
+        L_p L_p^T = k(X_p, X_p) + sigma_n^2 I - B^T B
+
+    sharing ``L`` with the base model: construction is O(n^2 k) with no copy
+    and no refactorization.  Equivalent to
+    :meth:`GaussianProcess.condition_on_pending` up to round-off (enforced
+    to ≤1e-8 by the equivalence harness).
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        When the pending block's Schur complement is not positive definite
+        (near-duplicate pending points at tiny noise); callers fall back to
+        the rebuild path.
+    """
+
+    def _factor(self, X_pending: np.ndarray) -> None:
+        base = self.base
+        cross = base.kernel(base.X, X_pending)  # (n, k)
+        corner = base.kernel(X_pending) + base.noise_variance * np.eye(
+            X_pending.shape[0]
+        )
+        self._B = linalg.solve_lower(base.cholesky_factor, cross)  # (n, k)
+        schur = corner - self._B.T @ self._B
+        schur = 0.5 * (schur + schur.T)
+        self._lower_p = np.linalg.cholesky(schur)  # raises LinAlgError
+
+    def _variance(self, X: np.ndarray) -> np.ndarray:
+        k1 = self.base.kernel(self.base.X, X)  # (n, m)
+        v1 = linalg.solve_lower(self.base.cholesky_factor, k1)
+        k2 = self.base.kernel(self._X_pending, X)  # (k, m)
+        v2 = linalg.solve_lower(self._lower_p, k2 - self._B.T @ v1)
+        return self.base.kernel.diag(X) - np.sum(v1**2, axis=0) - np.sum(v2**2, axis=0)

@@ -2,10 +2,10 @@
 
 The exact GP caps campaigns near n≈1000: refits are O(n^3) and even the
 incremental path pays O(n^2) per event.  This module adds the scalable
-alternative behind the :class:`~repro.gp.gp.PosteriorState` seam — a
-deterministic-training-conditional (DTC) posterior over ``m`` inducing
-points chosen from the training set by greedy max-min (farthest-point)
-selection:
+alternative behind the shared :class:`~repro.gp.gp.PosteriorModel`
+interface — a deterministic-training-conditional (DTC) posterior over ``m``
+inducing points chosen from the training set by greedy max-min
+(farthest-point) selection:
 
     Q(x, x') = k(x, Z) Kuu^{-1} k(Z, x')
     mu(x*)   = m(x*) + k(x*, Z) B^{-1} c
@@ -30,7 +30,10 @@ Three exactness properties anchor the test suite (tests/test_properties.py):
   and a Sherman–Morrison step shows ``B'^{-1} c' = B^{-1} c`` exactly.
   :class:`SparseHallucinatedView` therefore shares ``w`` with its base and
   only rank-1-updates a copy of ``LB``, giving the Eq. 9 variance collapse
-  (sigma-hat <= sigma) at O(m^2) per pending point.
+  (sigma-hat <= sigma) at O(m^2) per pending point.  Pessimistic
+  pseudo-targets (``beta > 0``) do move ``w``; they run the shared greedy
+  loop of :meth:`~repro.gp.gp.PosteriorModel.condition_on_pending` through
+  the one-row :meth:`SparseGaussianProcess.update`.
 
 This sparse path is an *extension beyond the paper*, which uses exact GPs
 throughout (see docs/paper_mapping.md).
@@ -43,9 +46,7 @@ import dataclasses
 import numpy as np
 
 from repro.gp import linalg
-from repro.gp.gp import NOISE_FLOOR, VARIANCE_FLOOR, PosteriorState
-from repro.gp.kernels import Kernel, SquaredExponential
-from repro.gp.mean import MeanFunction, ZeroMean
+from repro.gp.gp import VARIANCE_FLOOR, PendingView, PosteriorModel
 from repro.utils.validation import check_finite, check_matrix, check_vector
 
 __all__ = [
@@ -108,10 +109,10 @@ def select_inducing(X: np.ndarray, m: int, *, include=None) -> np.ndarray:
 
 
 @dataclasses.dataclass
-class SparseInducingState(PosteriorState):
+class SparseInducingState:
     """Inducing-point posterior value object (see module docstring).
 
-    ``w`` is ``B^{-1} c`` — the sparse analogue of the exact state's
+    ``w`` is ``B^{-1} c`` — the sparse analogue of the exact model's
     ``alpha``.  ``stale_w`` mirrors the exact path's ``refresh_alpha=False``
     contract: an update may defer the ``w`` solve when a ``set_targets``
     immediately follows.
@@ -141,39 +142,21 @@ class SparseInducingState(PosteriorState):
         )
 
 
-class SparseGaussianProcess:
+class SparseGaussianProcess(PosteriorModel):
     """Inducing-point GP with O(m^2)-per-event incremental updates.
 
-    Duck-typed to :class:`~repro.gp.gp.GaussianProcess` for everything the
-    surrogate session and acquisitions touch (``fit`` / ``update`` /
-    ``set_targets`` / ``predict`` / ``posterior_covariance`` /
-    ``sample_posterior`` / ``condition_on_pending`` / ``copy``).
-    Hyperparameters are *not* fitted here — the session runs ML-II on an
-    exact helper GP over the inducing subset and passes the kernel in.
+    Shares the :class:`~repro.gp.gp.PosteriorModel` interface with the exact
+    GP; ``n_inducing`` is the inducing-set budget ``m``.  Hyperparameters are
+    *not* fitted here — the session runs ML-II on an exact helper GP over
+    the inducing subset and passes the kernel in.
     """
 
-    def __init__(
-        self,
-        dim: int | None = None,
-        *,
-        kernel: Kernel | None = None,
-        noise_variance: float = 1e-6,
-        mean: MeanFunction | None = None,
-        n_inducing: int = 256,
-    ):
-        if kernel is None:
-            if dim is None:
-                raise ValueError("provide either dim or kernel")
-            kernel = SquaredExponential(dim)
-        elif dim is not None and kernel.dim != dim:
-            raise ValueError(f"kernel.dim={kernel.dim} does not match dim={dim}")
-        if noise_variance < 0:
-            raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
+    kind = "sparse"
+
+    def __init__(self, dim: int | None = None, *, n_inducing: int = 256, **kwargs):
+        super().__init__(dim, **kwargs)
         if int(n_inducing) < 1:
             raise ValueError(f"n_inducing must be >= 1, got {n_inducing}")
-        self.kernel = kernel
-        self.noise_variance = max(float(noise_variance), NOISE_FLOOR)
-        self.mean = mean if mean is not None else ZeroMean()
         self.n_inducing = int(n_inducing)
         self._state: SparseInducingState | None = None
         self._workspace = linalg.Workspace()
@@ -188,10 +171,6 @@ class SparseGaussianProcess:
         self._kfu_buf: np.ndarray | None = None
 
     # ------------------------------------------------------------ properties
-    @property
-    def dim(self) -> int:
-        return self.kernel.dim
-
     @property
     def is_fitted(self) -> bool:
         return self._state is not None
@@ -396,28 +375,20 @@ class SparseGaussianProcess:
         cov = self.kernel(X) - v1.T @ v1 + v2.T @ v2
         return 0.5 * (cov + cov.T)
 
-    def sample_posterior(self, X, n_samples: int = 1, rng=None) -> np.ndarray:
-        """Draw joint posterior samples; returns shape ``(n_samples, n)``."""
-        from repro.utils.rng import as_generator
-
-        rng = as_generator(rng)
-        X = check_matrix(X, "X", cols=self.dim)
-        mu = self.predict(X, return_std=False)
-        cov = self.posterior_covariance(X)
-        lower, _ = linalg.jittered_cholesky(cov + VARIANCE_FLOOR * np.eye(len(mu)))
-        z = rng.standard_normal((n_samples, len(mu)))
-        return mu[None, :] + z @ lower.T
-
     # ------------------------------------------------- pending-point scheme
-    def condition_on_pending(self, X_pending) -> "SparseHallucinatedView":
+    def condition_on_pending(self, X_pending, *, beta: float = 0.0):
         """Hallucinate pending points (paper §III-C) at O(m^2) per point.
 
-        Returns a :class:`SparseHallucinatedView` — predict-only, like the
-        exact path's :class:`~repro.core.surrogate.HallucinatedView`, which
-        is all acquisitions consume.  The mean surface is exactly unchanged
-        (see module docstring); sigma-hat collapses at the pending points.
+        At ``beta=0`` this returns a :class:`SparseHallucinatedView` —
+        predict-only, like the exact path's
+        :class:`~repro.gp.gp.HallucinatedView`, which is all acquisitions
+        consume.  The mean surface is exactly unchanged (see module
+        docstring); sigma-hat collapses at the pending points.  ``beta > 0``
+        runs the shared greedy loop and returns an extended model copy.
         """
         self._require_fitted()
+        if beta:
+            return super().condition_on_pending(X_pending, beta=beta)
         return SparseHallucinatedView(self, X_pending)
 
     # ----------------------------------------------------------------- misc
@@ -438,10 +409,6 @@ class SparseGaussianProcess:
             model._kfu_buf = self._kfu_buf.copy()
         return model
 
-    def _require_fitted(self) -> None:
-        if not self.is_fitted:
-            raise RuntimeError("SparseGaussianProcess must be fitted first")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         m = self._state.n_inducing if self.is_fitted else 0
         return (
@@ -450,78 +417,31 @@ class SparseGaussianProcess:
         )
 
 
-class SparseHallucinatedView:
+class SparseHallucinatedView(PendingView):
     """Sparse-posterior view with pending points folded in, factor-shared.
 
     The kriging-believer pseudo-observations leave ``w = B^{-1} c`` exactly
     invariant (Sherman–Morrison, see module docstring), so the view shares
     the base model's weights and inducing factor ``Luu`` and owns only a
     rank-1-updated copy of the m-by-m ``LB`` — construction is O(m^2 k)
-    regardless of n, and discarding the pending points is dropping the view.
+    regardless of n.
     """
 
-    def __init__(self, base: SparseGaussianProcess, X_pending):
-        X_pending = check_matrix(X_pending, "X_pending", cols=base.dim)
-        if X_pending.shape[0] == 0:
-            raise ValueError("SparseHallucinatedView needs at least one pending point")
-        check_finite(X_pending, "X_pending")
-        base._require_fitted()
-        self.base = base
-        self._X_pending = X_pending.copy()
-        state = base.posterior_state
-        kp = base.kernel.cross(state.Z, X_pending)  # (m, k)
-        sigma = np.sqrt(base.noise_variance)
+    def _factor(self, X_pending: np.ndarray) -> None:
+        state = self.base.posterior_state
+        kp = self.base.kernel.cross(state.Z, X_pending)  # (m, k)
+        sigma = np.sqrt(self.base.noise_variance)
         self._lb_p = state.lb.copy()
         for j in range(X_pending.shape[0]):
             linalg.cholesky_rank1_update(self._lb_p, kp[:, j] / sigma, overwrite=True)
 
-    # ---------------------------------------------------------- properties
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def n_pending(self) -> int:
-        return self._X_pending.shape[0]
-
-    @property
-    def n_train(self) -> int:
-        """Size of the hallucinated training set (real + pending)."""
-        return self.base.n_train + self.n_pending
-
-    @property
-    def X_pending(self) -> np.ndarray:
-        return self._X_pending.copy()
-
-    # ------------------------------------------------------------- predict
-    def predict(self, X, return_std: bool = True):
-        """Posterior mean (and the paper's sigma-hat) at the rows of ``X``.
-
-        The mean equals the base model's mean exactly (kriging believer);
-        the standard deviation is collapsed around the pending points.
-        """
-        X = check_matrix(X, "X", cols=self.dim)
-        mu = self.base.predict(X, return_std=False)
-        if not return_std:
-            return mu
+    def _variance(self, X: np.ndarray) -> np.ndarray:
         state = self.base.posterior_state
         ku = self.base.kernel.cross(state.Z, X)
         v1 = linalg.solve_lower(state.luu, ku)
         v2 = linalg.solve_lower(self._lb_p, ku)
-        var = (
+        return (
             self.base.kernel.diag(X)
             - np.sum(v1**2, axis=0)
             + np.sum(v2**2, axis=0)
-        )
-        sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-        return mu, sigma
-
-    def discard(self) -> SparseGaussianProcess:
-        """Return the untouched base model (dropping the view is free)."""
-        return self.base
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SparseHallucinatedView(n_train={self.base.n_train}, "
-            f"n_pending={self.n_pending})"
         )

@@ -242,6 +242,44 @@ class TestSideDatasetResume:
         assert len(getattr(driver, side)) == driver.session.n_observations
 
 
+class TestPhcboResume:
+    """pHCBO's coverage penalty (Eq. 6) is campaign state: each slot's
+    recent queries shape every later batch.  The journal carries the
+    penalty radius in the resume config and the unit-cube points the
+    penalty recorded in each ``ask``, so a resume rebuilds both exactly."""
+
+    KWARGS = dict(rng=4, n_init=4, max_evals=10, hc_d=0.7, acq_candidates=128,
+                  acq_restarts=1, surrogate_update="full")
+
+    def _run(self, journal):
+        return make_algorithm(
+            "pHCBO-2", make_problem("branin"), journal=journal, **self.KWARGS
+        ).run()
+
+    @staticmethod
+    def _trajectory(result):
+        return [
+            (r.index, r.worker, r.batch, [float(v) for v in r.x], r.fom,
+             r.issue_time, r.finish_time, r.status)
+            for r in result.trace.records
+        ]
+
+    def test_every_kill_point_resumes_bit_exactly(self, tmp_path):
+        full = tmp_path / "full.jsonl"
+        expected = self._trajectory(self._run(full))
+        events = read_journal(full, strict=True)
+        assert events[0]["config"]["hc_d"] == 0.7
+        for kill_at in range(2, len(events) + 1):
+            path = tmp_path / f"kill{kill_at}.jsonl"
+            writer = KillSwitchJournal(JournalWriter(path), kill_at=kill_at)
+            try:
+                with pytest.raises(ProcessKilled):
+                    self._run(writer)
+            finally:
+                writer.journal.close()
+            assert self._trajectory(resume(path)) == expected, kill_at
+
+
 class TestOlderRunJournals:
     """Journals in the older run-journal vocabulary still resume.
 

@@ -11,7 +11,9 @@ This module covers the plumbing the ISSUE added around them:
   ``pending_policy`` field riding in :class:`RunResult` / format v7;
 * the campaign server's ``create`` verb accepting the policy both as a
   top-level convenience field and inside ``config``;
-* the tournament harness (grid shape, paired keys, ranking, determinism).
+* the tournament harness (grid shape, paired keys, ranking, determinism);
+* every policy on both posteriors: an ask/tell campaign runs to its full
+  budget on the exact and on the sparse GP.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.circuits.benchmarks import sphere
+from repro.circuits.benchmarks import branin, sphere
 from repro.core import (
     HallucinatePolicy,
     LocalPenalisationPolicy,
@@ -129,6 +131,30 @@ class TestDriverRoundTrips:
     def test_sequential_driver_has_no_policy(self):
         result = self._run("LCB")
         assert result.pending_policy is None
+
+
+class TestPoliciesOnBothPosteriors:
+    LABELS = {"hallucinate": "EasyBO-3", "lp": "EasyBO-LP-3",
+              "pessimistic": "EasyBO-PESS-3", "none": "EasyBO-A-3"}
+
+    @pytest.mark.parametrize("surrogate", ["exact", "sparse"])
+    @pytest.mark.parametrize("policy", PENDING_POLICIES)
+    def test_campaign_runs_to_full_budget(self, policy, surrogate):
+        problem = branin()
+        campaign = make_campaign(
+            self.LABELS[policy], problem, surrogate=surrogate, n_inducing=5,
+            rng=2, n_init=4, max_evals=12, **ACQ,
+        )
+        assert campaign.strategy.pending_policy.name == policy
+        # Keep three points in flight, so every proposal sees pending ones.
+        while not campaign.done:
+            if campaign.n_pending < 3 and not campaign.exhausted:
+                campaign.ask()
+            else:
+                x = campaign.pending[0]
+                campaign.tell(x, problem.evaluate(x))
+        assert campaign.n_observations == 12
+        assert campaign.session.active_surrogate == surrogate
 
 
 class TestServerCreate:

@@ -19,14 +19,16 @@ deterministic, so a failure reproduces from its case index alone:
   where the jitter policy engages.
 * Pending-point policies (``repro.core.pending``): the local-penalisation
   factor lies in ``(0, 1]``, is non-decreasing in the distance to the
-  pending point, and tends to 1 far away; the pessimistic extension never
-  inflates the posterior spread, never raises the acquisition at a lone
-  pending point above its no-pending baseline, and degenerates to the
-  kriging believer at ``beta=0``; the standard policy is a strict no-op
-  for every pending set.
+  pending point, and tends to 1 far away; the pessimistic extension, on the
+  exact and the sparse posterior, never inflates the posterior spread,
+  never raises the acquisition at a lone pending point above its
+  no-pending baseline, and degenerates to the kriging believer at
+  ``beta=0``; the standard policy is a strict no-op for every pending set.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from repro.core.pending import (
 )
 from repro.core.surrogate import HallucinatedView
 from repro.gp import linalg
-from repro.gp.gp import GaussianProcess
+from repro.gp.gp import GaussianProcess, PosteriorModel
 from repro.gp.kernels import SquaredExponential
 from repro.gp.sparse import (
     SparseGaussianProcess,
@@ -217,53 +219,82 @@ class TestLocalPenalisationFactor:
                 assert at[0] <= 0.5, case
 
 
+def _random_sparse_gp(rng):
+    """A fitted sparse GP on a well-conditioned case (see
+    :func:`_random_sparse_case`), inducing set half the data."""
+    kernel, noise, X, y = _random_sparse_case(rng)
+    return SparseGaussianProcess(
+        kernel=kernel, noise_variance=noise, n_inducing=max(len(y) // 2, 4)
+    ).fit(X, y)
+
+
+#: Both posteriors the pessimistic sweeps run on, drawn from the case RNG.
+_POSTERIORS = (lambda rng: _random_gp(rng)[0], _random_sparse_gp)
+
+
+def _pessimistic(policy, model, U_pending):
+    """The policy's extended model, taking the unit cube as physical space."""
+    session = SimpleNamespace(
+        require_model=lambda: model, transform=SimpleNamespace(to_unit=np.asarray)
+    )
+    return policy.model(session, U_pending)
+
+
 class TestPessimisticExtension:
     def test_lone_pending_point_never_beats_baseline(self):
         """Eq. 8 acquisition at a single pending point: pessimistic model
-        value <= no-pending value, for random ``beta`` and weight ``w``."""
+        value <= no-pending value, for random ``beta`` and weight ``w``, on
+        the exact and the sparse posterior."""
         for case in range(N_CASES):
             rng = np.random.default_rng(90_000 + case)
-            model, _, _ = _random_gp(rng)
-            policy = PessimisticPolicy(beta=float(rng.uniform(0.0, 2.0)))
-            u = rng.uniform(-1.0, 1.0, size=(1, model.dim))
-            extended = policy.condition_pessimistic(model, u)
-            mu0, sigma0 = model.predict(u)
-            mu1, sigma1 = extended.predict(u)
-            w = float(rng.uniform(0.0, 1.0))
-            base = (1.0 - w) * mu0[0] + w * sigma0[0]
-            pess = (1.0 - w) * mu1[0] + w * sigma1[0]
-            assert pess <= base + 1e-8, case
+            for make in _POSTERIORS:
+                model = make(rng)
+                policy = PessimisticPolicy(beta=float(rng.uniform(0.0, 2.0)))
+                u = rng.uniform(-1.0, 1.0, size=(1, model.dim))
+                extended = _pessimistic(policy, model, u)
+                mu0, sigma0 = model.predict(u)
+                mu1, sigma1 = extended.predict(u)
+                w = float(rng.uniform(0.0, 1.0))
+                base = (1.0 - w) * mu0[0] + w * sigma0[0]
+                pess = (1.0 - w) * mu1[0] + w * sigma1[0]
+                assert pess <= base + 1e-8, (case, model.kind)
 
     def test_spread_never_inflates_for_any_pending_set(self):
         for case in range(N_CASES):
             rng = np.random.default_rng(91_000 + case)
-            model, _, _ = _random_gp(rng)
-            policy = PessimisticPolicy(beta=float(rng.uniform(0.0, 2.0)))
-            k = int(rng.integers(1, 4))
-            U_pending = rng.uniform(-1.0, 1.0, size=(k, model.dim))
-            extended = policy.condition_pessimistic(model, U_pending)
-            X_test = np.vstack(
-                [U_pending, rng.uniform(-1.0, 1.0, size=(8, model.dim))]
-            )
-            _, sigma = model.predict(X_test)
-            _, sigma_hat = extended.predict(X_test)
-            assert np.all(sigma_hat <= sigma + 1e-8), case
+            for make in _POSTERIORS:
+                model = make(rng)
+                policy = PessimisticPolicy(beta=float(rng.uniform(0.0, 2.0)))
+                k = int(rng.integers(1, 4))
+                U_pending = rng.uniform(-1.0, 1.0, size=(k, model.dim))
+                extended = _pessimistic(policy, model, U_pending)
+                X_test = np.vstack(
+                    [U_pending, rng.uniform(-1.0, 1.0, size=(8, model.dim))]
+                )
+                _, sigma = model.predict(X_test)
+                _, sigma_hat = extended.predict(X_test)
+                assert np.all(sigma_hat <= sigma + 1e-8), (case, model.kind)
 
     def test_beta_zero_degenerates_to_kriging_believer(self):
+        """At ``beta=0`` the greedy pseudo-observation loop matches the
+        factor-shared Eq. 9 view, on the exact and the sparse posterior."""
+        makers = (lambda rng: _random_gp(rng, noise_floor=1e-4)[0], _random_sparse_gp)
+        views = (HallucinatedView, SparseHallucinatedView)
         for case in range(N_CASES):
             rng = np.random.default_rng(92_000 + case)
-            model, _, _ = _random_gp(rng, noise_floor=1e-4)
-            k = int(rng.integers(1, 4))
-            U_pending = rng.uniform(-1.0, 1.0, size=(k, model.dim))
-            extended = PessimisticPolicy(beta=0.0).condition_pessimistic(
-                model, U_pending
-            )
-            believer = model.condition_on_pending(U_pending)
-            X_test = rng.uniform(-1.0, 1.0, size=(8, model.dim))
-            mu_p, sigma_p = extended.predict(X_test)
-            mu_b, sigma_b = believer.predict(X_test)
-            np.testing.assert_allclose(mu_p, mu_b, atol=1e-7)
-            np.testing.assert_allclose(sigma_p, sigma_b, atol=1e-7)
+            for make, view_type in zip(makers, views):
+                model = make(rng)
+                k = int(rng.integers(1, 4))
+                U_pending = rng.uniform(-1.0, 1.0, size=(k, model.dim))
+                extended = PosteriorModel.condition_on_pending(
+                    model, U_pending, beta=0.0
+                )
+                believer = view_type(model, U_pending)
+                X_test = rng.uniform(-1.0, 1.0, size=(8, model.dim))
+                mu_p, sigma_p = extended.predict(X_test)
+                mu_b, sigma_b = believer.predict(X_test)
+                np.testing.assert_allclose(mu_p, mu_b, atol=1e-7)
+                np.testing.assert_allclose(sigma_p, sigma_b, atol=1e-7)
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
